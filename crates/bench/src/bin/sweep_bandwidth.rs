@@ -13,15 +13,16 @@
 //!   marking into a **private** naive map, then a serial union merge;
 //! * `atomic_serial` — the pre-SIMD production loop, preserved here as
 //!   the scalar reference: one `scan_page` probe per page slice, then a
-//!   per-word `!= 0` + `heap_contains` test into a [`ShadowWriter`];
+//!   per-word `!= 0` + `heap_contains` test into a
+//!   [`ShadowWriter`](minesweeper::ShadowWriter);
 //! * `simd_serial` — the production [`Marker`] path with the chunked
 //!   SIMD kernel at its auto-dispatched tier (AVX2 where available);
 //! * `swar_serial` — the same path forced to the portable SWAR tier,
 //!   what non-x86 (or pre-SSE2) hosts would run;
 //! * `simd_serial_nullsink` — `simd_serial` with the sweep tracer
 //!   engaged on a null sink: the per-phase emission cost;
-//! * `steal_parallel_hN` — [`parallel_mark_opts`]: N+1 threads claiming
-//!   64-page chunks off one atomic work queue into one shared map;
+//! * `steal_parallel_hN` — a one-job [`parallel_mark_pool`]: N+1 threads
+//!   claiming 64-page chunks off one atomic work queue into one shared map;
 //! * `share_parallel_hN` — the same machinery with the chunk size blown
 //!   up to one contiguous share per thread: the old static split, kept
 //!   as the stealing-off comparison point;
@@ -45,8 +46,8 @@
 //! * `arenas_nK_{serial,barrier_h6,sched_h6}` — the default fixture cut
 //!   into K tenant mini-heaps (each its own address space and plan, the
 //!   sharded-quarantine shape). `serial` marks them one after another on
-//!   one thread; `barrier_h6` gives each arena its own 6-helper
-//!   [`parallel_mark_opts`] round, paying K join barriers; `sched_h6`
+//!   one thread; `barrier_h6` gives each arena its own 6-helper one-job
+//!   [`parallel_mark_pool`] round, paying K join barriers; `sched_h6`
 //!   batches all K plans through **one** [`parallel_mark_pool`] round —
 //!   one work-stealing cursor, one join — which is exactly what the
 //!   sweep scheduler's coalesced rounds run.
@@ -69,9 +70,9 @@ use minesweeper::telemetry::{
     EventKind, Histogram, NullSink, Registry, Tracer, SNAPSHOT_SCHEMA_VERSION,
 };
 use minesweeper::{
-    effective_helper_count, parallel_mark_opts, parallel_mark_pool, CandidateFilter,
-    EdgeRecorder, ForensicsMode, MarkAccel, Marker, NaiveShadowMap, PageCache, ParallelMarkOpts,
-    PoolMarkJob, PoolMarkOpts, QEntry, ScanTier, ShadowMap, SweepPlan, SweepProf,
+    effective_helper_count, parallel_mark_pool, CandidateFilter, EdgeRecorder, ForensicsMode,
+    MarkAccel, Marker, NaiveShadowMap, PageCache, PoolMarkJob, PoolMarkOpts, QEntry, ScanTier,
+    ShadowMap, SweepPlan, SweepProf,
 };
 use vmem::{Addr, AddrSpace, Layout, PageIdx, PAGE_SIZE, WORD_SIZE};
 
@@ -248,8 +249,9 @@ fn naive_mark_share(
 
 /// The pre-SIMD production loop: the scalar baseline every SIMD row is
 /// judged against (ISSUE 6 acceptance: `simd_serial` ≥ 2× this). Same
-/// `scan_page` slices and [`ShadowWriter`] as the production path; only
-/// the per-word zero test + `heap_contains` differ from the kernel.
+/// `scan_page` slices and [`ShadowWriter`](minesweeper::ShadowWriter) as
+/// the production path; only the per-word zero test + `heap_contains`
+/// differ from the kernel.
 fn scalar_mark(space: &AddrSpace, layout: &Layout, plan: &SweepPlan, shadow: &ShadowMap) -> u64 {
     let mut writer = shadow.writer();
     for &(base, len) in plan.ranges() {
@@ -292,6 +294,16 @@ struct Sample {
     best_secs: f64,
     words_per_sec: f64,
     marked: u64,
+}
+
+/// A one-job [`parallel_mark_pool`] round into a fresh shadow map — the
+/// single-arena parallel mark. Returns the marked granule count.
+fn pool_mark_solo(space: &AddrSpace, plan: &SweepPlan, opts: &PoolMarkOpts<'_>) -> u64 {
+    let shadow = ShadowMap::new();
+    let job =
+        PoolMarkJob { space, plan, shadow: &shadow, filter: None, cache: None, forensics: None };
+    parallel_mark_pool(&[job], opts);
+    shadow.marked_count()
 }
 
 fn measure(
@@ -445,7 +457,7 @@ fn main() {
     samples.push(measure("simd_serial", 0, total_words, reps, &registry, || {
         let mut shadow = ShadowMap::new();
         let mut accel = MarkAccel { prof, ..MarkAccel::default() };
-        Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
+        Marker::new(plan.clone()).run_to_end(&mut space, &mut shadow, &mut accel);
         shadow.marked_count()
     }));
     samples.push(measure("swar_serial", 0, total_words, reps, &registry, || {
@@ -458,7 +470,7 @@ fn main() {
             tier: Some(ScanTier::Swar),
             prof: None,
         };
-        Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
+        Marker::new(plan.clone()).run_to_end(&mut space, &mut shadow, &mut accel);
         shadow.marked_count()
     }));
 
@@ -471,7 +483,7 @@ fn main() {
     samples.push(measure("simd_serial_nullsink", 0, total_words, reps, &registry, || {
         let mut shadow = ShadowMap::new();
         let sw = tracer.stopwatch();
-        Marker::new(plan.clone()).run_to_end(&mut space, &layout, &mut shadow);
+        Marker::new(plan.clone()).run_to_end(&mut space, &mut shadow, &mut MarkAccel::default());
         let marked = shadow.marked_count();
         tracer.emit(|| EventKind::MarkPhase {
             sweep: 0,
@@ -492,20 +504,19 @@ fn main() {
     // the stealing-off comparison point.
     for &h in &helper_counts {
         samples.push(measure(&format!("steal_parallel_h{h}"), h, total_words, reps, &registry, || {
-            let opts =
-                ParallelMarkOpts { helper_threads: h, prof, ..ParallelMarkOpts::default() };
-            parallel_mark_opts(&space, &plan, &layout, &opts).0.marked_count()
+            let opts = PoolMarkOpts { helper_threads: h, prof, ..PoolMarkOpts::default() };
+            pool_mark_solo(&space, &plan, &opts)
         }));
     }
     for &h in &helper_counts {
         let share_pages = pages.div_ceil(h as u64 + 1).max(1);
         samples.push(measure(&format!("share_parallel_h{h}"), h, total_words, reps, &registry, || {
-            let opts = ParallelMarkOpts {
+            let opts = PoolMarkOpts {
                 helper_threads: h,
                 chunk_pages: Some(share_pages),
-                ..ParallelMarkOpts::default()
+                ..PoolMarkOpts::default()
             };
-            parallel_mark_opts(&space, &plan, &layout, &opts).0.marked_count()
+            pool_mark_solo(&space, &plan, &opts)
         }));
     }
 
@@ -530,7 +541,7 @@ fn main() {
             let mut shadow = ShadowMap::new();
             let mut accel =
                 MarkAccel { filter: None, cache: Some(&mut cache), qgen: 0, forensics: None, tier, prof: None };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
+            Marker::new(plan.clone()).run_to_end(&mut space, &mut shadow, &mut accel);
         }
         let name = match tier {
             None => format!("incremental_d{pct}"),
@@ -542,7 +553,7 @@ fn main() {
             let mut shadow = ShadowMap::new();
             let mut accel =
                 MarkAccel { filter: None, cache: Some(&mut cache), qgen: 0, forensics: None, tier, prof: None };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
+            Marker::new(plan.clone()).run_to_end(&mut space, &mut shadow, &mut accel);
             shadow.marked_count()
         });
         s.dirty_pct = Some(pct);
@@ -567,7 +578,7 @@ fn main() {
             tier: None,
             prof: None,
         };
-        Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
+        Marker::new(plan.clone()).run_to_end(&mut space, &mut shadow, &mut accel);
         shadow.marked_count()
     };
     {
@@ -589,7 +600,7 @@ fn main() {
                 tier: None,
                 prof: None,
             };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
+            Marker::new(plan.clone()).run_to_end(&mut space, &mut shadow, &mut accel);
         }
         let mut s = measure("incremental_filtered_d5", 0, total_words, reps, &registry, || {
             epoch += 1;
@@ -603,7 +614,7 @@ fn main() {
                 tier: None,
                 prof: None,
             };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
+            Marker::new(plan.clone()).run_to_end(&mut space, &mut shadow, &mut accel);
             shadow.marked_count()
         });
         s.dirty_pct = Some(5);
@@ -636,7 +647,7 @@ fn main() {
                 tier: None,
                 prof: None,
             };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
+            Marker::new(plan.clone()).run_to_end(&mut space, &mut shadow, &mut accel);
             shadow.marked_count()
         }));
         if mode == ForensicsMode::Full {
@@ -659,7 +670,7 @@ fn main() {
     }));
     samples.push(measure("simd_serial_sparse", 0, total_words, reps, &registry, || {
         let mut shadow = ShadowMap::new();
-        Marker::new(sparse_plan.clone()).run_to_end(&mut sparse_space, &layout, &mut shadow);
+        Marker::new(sparse_plan.clone()).run_to_end(&mut sparse_space, &mut shadow, &mut MarkAccel::default());
         shadow.marked_count()
     }));
     samples.push(measure("swar_serial_sparse", 0, total_words, reps, &registry, || {
@@ -672,12 +683,7 @@ fn main() {
             tier: Some(ScanTier::Swar),
             prof: None,
         };
-        Marker::new(sparse_plan.clone()).run_to_end_accel(
-            &mut sparse_space,
-            &layout,
-            &mut shadow,
-            &mut accel,
-        );
+        Marker::new(sparse_plan.clone()).run_to_end(&mut sparse_space, &mut shadow, &mut accel);
         shadow.marked_count()
     }));
 
@@ -694,7 +700,7 @@ fn main() {
     }));
     samples.push(measure("simd_serial_dense", 0, total_words, reps, &registry, || {
         let mut shadow = ShadowMap::new();
-        Marker::new(dense_plan.clone()).run_to_end(&mut dense_space, &layout, &mut shadow);
+        Marker::new(dense_plan.clone()).run_to_end(&mut dense_space, &mut shadow, &mut MarkAccel::default());
         shadow.marked_count()
     }));
 
@@ -732,10 +738,7 @@ fn main() {
             || {
                 fixtures
                     .iter()
-                    .map(|(sp, pl)| {
-                        let opts = ParallelMarkOpts::default();
-                        parallel_mark_opts(sp, pl, sp.layout(), &opts).0.marked_count()
-                    })
+                    .map(|(sp, pl)| pool_mark_solo(sp, pl, &PoolMarkOpts::default()))
                     .sum()
             },
         ));
@@ -749,11 +752,8 @@ fn main() {
                 fixtures
                     .iter()
                     .map(|(sp, pl)| {
-                        let opts = ParallelMarkOpts {
-                            helper_threads: 6,
-                            ..ParallelMarkOpts::default()
-                        };
-                        parallel_mark_opts(sp, pl, sp.layout(), &opts).0.marked_count()
+                        let opts = PoolMarkOpts { helper_threads: 6, ..PoolMarkOpts::default() };
+                        pool_mark_solo(sp, pl, &opts)
                     })
                     .sum()
             },
@@ -833,7 +833,7 @@ fn main() {
             let t0 = Instant::now();
             let mut shadow = ShadowMap::new();
             let mut accel = MarkAccel { prof, ..MarkAccel::default() };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
+            Marker::new(plan.clone()).run_to_end(&mut space, &mut shadow, &mut accel);
             let secs = t0.elapsed().as_secs_f64() * handicap_for("simd_serial");
             simd_us.record((secs * 1e6) as u64);
             best_simd = best_simd.min(secs);

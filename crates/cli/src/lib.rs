@@ -840,20 +840,6 @@ pub fn render_report_with(
     Ok(out)
 }
 
-/// [`render_report_with`] without the forensics views — the pre-forensics
-/// signature, kept for callers that only need the timeline and `--check`.
-///
-/// # Errors
-///
-/// As [`render_report_with`].
-pub fn render_report(
-    trace_text: &str,
-    metrics_text: Option<&str>,
-    check: bool,
-) -> Result<String, CliError> {
-    render_report_with(trace_text, metrics_text, &ReportOpts { check, ..ReportOpts::default() })
-}
-
 /// Evaluates an `ms-report --slo` policy spec against a metrics snapshot.
 /// Returns the pass/fail table and whether any objective was violated
 /// (the CLI exits nonzero on a breach).
@@ -1845,16 +1831,17 @@ mod tests {
         assert!(trace_text.lines().any(|l| l.contains("\"sweep_start\"")));
         // The reconciliation check is the acceptance gate: JSONL totals
         // must match the exported counters exactly.
-        let report = render_report(&trace_text, Some(&metrics_text), true).unwrap();
+        let check = ReportOpts { check: true, ..ReportOpts::default() };
+        let report = render_report_with(&trace_text, Some(&metrics_text), &check).unwrap();
         assert!(report.contains("reconcile: trace totals match"), "{report}");
         assert!(report.contains("proportional"), "{report}");
-        assert!(render_report(&trace_text, None, true).is_err());
+        assert!(render_report_with(&trace_text, None, &check).is_err());
 
         // A torn final line (truncated mid-write) is a clear error, not a
         // panic, and names the offending line.
         let torn = &trace_text[..trace_text.len() - trace_text.len() / 10];
         assert!(!torn.ends_with('\n'), "truncation must tear the last line");
-        let err = render_report(torn, None, false).unwrap_err();
+        let err = render_report_with(torn, None, &ReportOpts::default()).unwrap_err();
         assert!(err.0.contains("bad trace"), "{err}");
         assert!(err.0.contains("torn final line"), "{err}");
         std::fs::remove_file(trace).ok();

@@ -386,9 +386,7 @@ impl<B: HeapBackend> ArenaPool<B> {
             let t0 = std::time::Instant::now();
             let result = parallel_mark_pool(&jobs, &opts);
             let wall_ns = t0.elapsed().as_nanos() as u64;
-            let helpers =
-                result.per_job.first().map_or(0, |s| s.effective_helpers);
-            (result.per_job, wall_ns, helpers)
+            (result.per_job, wall_ns, result.effective_helpers)
         };
         let mut report = RoundReport {
             swept: Vec::with_capacity(batch.len()),

@@ -8,8 +8,8 @@
 //!   feeds. When a scanned word points into a locked quarantine candidate,
 //!   the recorder attributes a *provenance edge* (source address → target
 //!   entry) to the entry, keeping a hit count and one example source per
-//!   entry. All state is atomic, so serial stepping and
-//!   [`crate::parallel_mark_accel`] share one recorder without locks.
+//!   entry. All state is atomic, so serial stepping and every thread of
+//!   [`crate::parallel_mark_pool`] share one recorder without locks.
 //!   Sampled mode records roughly 1-in-N edges through a shared tick.
 //! * [`FailedFreeLedger`] — survives across sweeps in the layer. Every
 //!   failed-free decision lands here (first-failed generation, survival
@@ -149,7 +149,7 @@ pub struct LedgerEntry {
     /// Consecutive sweeps the entry has failed (1 after the first).
     pub survivals: u64,
     /// Distinct pages holding recorded pinning pointers, capped at
-    /// [`MAX_PINNERS`].
+    /// `MAX_PINNERS` (4).
     pub pinners: Vec<u64>,
 }
 

@@ -80,7 +80,9 @@ pub struct SweepReport {
 ///   [`MineSweeper::finish_sweep`] — incrementally, for callers that
 ///   interleave mutator work with sweep progress (the discrete-event
 ///   engine uses this to model concurrency in virtual time);
-/// * [`crate::parallel_mark`] — one-shot marking on real OS threads.
+/// * [`crate::ArenaPool::sweep_round`] — starts sweeps, marks them all
+///   through one [`crate::parallel_mark_pool`] round on real OS threads,
+///   then finishes each with [`MineSweeper::finish_sweep_premarked`].
 #[derive(Debug)]
 pub struct MineSweeper<B: HeapBackend = JAlloc> {
     cfg: MsConfig,
@@ -460,7 +462,7 @@ impl<B: HeapBackend> MineSweeper<B> {
     /// Quarantine pressure as a permille of the proportional sweep
     /// trigger: 1000 means the trigger is exactly met. The global sweep
     /// scheduler ([`crate::SweepScheduler`]) orders and coalesces arenas
-    /// by this value. Below the [`MIN_SWEEP_BYTES`] floor the value is
+    /// by this value. Below the `MIN_SWEEP_BYTES` (64 KiB) floor the value is
     /// clamped under 1000 (never "due"); an unmapped-trigger firing
     /// reports at least 1000. Zero while a sweep is in flight (pressure
     /// is released by finishing it, not by starting another).
@@ -625,19 +627,15 @@ impl<B: HeapBackend> MineSweeper<B> {
     pub fn sweep_step(&mut self, space: &mut AddrSpace, word_budget: u64) -> StepResult {
         let sw = self.tracer.stopwatch();
         let active = self.active.as_mut().expect("no sweep in flight");
-        let layout = *space.layout();
-        let cache = (self.cfg.marking && self.cfg.page_cache)
-            .then_some(&mut self.page_cache);
         let mut accel = MarkAccel {
             filter: active.filter.as_ref(),
-            cache,
+            cache: (self.cfg.marking && self.cfg.page_cache).then_some(&mut self.page_cache),
             qgen: active.qgen,
             forensics: active.recorder.as_ref(),
             tier: None,
             prof: self.prof.as_ref(),
         };
-        let r =
-            active.marker.step_accel(space, &layout, &mut self.shadow, word_budget, &mut accel);
+        let r = active.marker.step(space, &mut self.shadow, word_budget, &mut accel);
         active.mark_bytes += r.bytes;
         active.mark_words += r.words;
         active.mark_skipped_bytes += r.skipped_bytes;
@@ -667,32 +665,11 @@ impl<B: HeapBackend> MineSweeper<B> {
     ///
     /// Panics if no sweep is in flight.
     pub fn finish_sweep(&mut self, space: &mut AddrSpace) -> SweepReport {
-        let mut active = self.active.take().expect("no sweep in flight");
-        let layout = *space.layout();
-        let mut report = SweepReport::default();
-
-        // Drain any marking the caller did not step through.
-        let sw = self.tracer.stopwatch();
-        let drained = {
-            let cache = (self.cfg.marking && self.cfg.page_cache)
-                .then_some(&mut self.page_cache);
-            let mut accel = MarkAccel {
-                filter: active.filter.as_ref(),
-                cache,
-                qgen: active.qgen,
-                forensics: active.recorder.as_ref(),
-                tier: None,
-                prof: self.prof.as_ref(),
-            };
-            active.marker.run_to_end_accel(space, &layout, &mut self.shadow, &mut accel)
-        };
-        report.marked_words += drained.words;
-        active.mark_bytes += drained.bytes;
-        active.mark_words += drained.words;
-        active.mark_skipped_bytes += drained.skipped_bytes;
-        active.mark_filter_rejects += drained.filter_rejects;
-        active.mark_wall_ns += sw.elapsed_ns();
-        self.absorb_mark_counters(&drained);
+        // Drain any marking the caller did not step through: an unbounded
+        // budget runs the marker to the end of its plan.
+        let drained = self.sweep_step(space, u64::MAX);
+        let active = self.active.take().expect("no sweep in flight");
+        let report = SweepReport { marked_words: drained.words, ..SweepReport::default() };
         self.complete_sweep(space, active, report)
     }
 
@@ -784,7 +761,6 @@ impl<B: HeapBackend> MineSweeper<B> {
         mut report: SweepReport,
     ) -> SweepReport {
         let id = active.id;
-        let layout = *space.layout();
         report.skipped_bytes = active.mark_skipped_bytes;
         let marked_granules = self.shadow.marked_count();
         // Profiler attribution for this sweep: deltas of the cumulative
@@ -821,7 +797,7 @@ impl<B: HeapBackend> MineSweeper<B> {
         if self.cfg.mode == SweepMode::MostlyConcurrent && self.cfg.marking {
             let mut stw_words = 0;
             for page in space.soft_dirty_pages() {
-                stw_words += mark_page(space, &layout, &mut self.shadow, page);
+                stw_words += mark_page(space, &mut self.shadow, page);
                 report.stw_pages += 1;
             }
             report.marked_words += stw_words;

@@ -59,8 +59,10 @@ struct PageEntry {
 
 /// Per-page sweep summaries keyed by page index.
 ///
-/// Owned by the layer across sweeps; consumed by the marker through
-/// [`crate::MarkAccel`].
+/// Owned by the layer across sweeps; consumed by the serial
+/// [`crate::Marker`] through [`crate::MarkAccel`] (replay and record) and
+/// by [`crate::parallel_mark_pool`] through [`crate::PoolMarkJob::cache`]
+/// (replay only).
 #[derive(Clone, Debug, Default)]
 pub struct PageCache {
     entries: HashMap<u64, PageEntry>,

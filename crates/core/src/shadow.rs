@@ -329,7 +329,7 @@ impl ShadowMap {
     /// accumulate locally (one `fetch_add` at drop instead of one per
     /// flush). On the serial mark path the locked flush is the single
     /// largest per-survivor cost — roughly 20 cycles each time the sweep
-    /// cursor leaves a 1 KiB address window — so the serial [`Marker`]
+    /// cursor leaves a 1 KiB address window — so the serial [`Marker`](crate::Marker)
     /// and the stop-the-world re-mark run through this writer. The
     /// parallel helpers keep the shared [`ShadowMap::writer`].
     pub fn writer_mut(&mut self) -> ShadowWriter<'_> {
@@ -527,10 +527,10 @@ impl fmt::Debug for ShadowMap {
 ///
 /// Two layers of locality exploitation:
 ///
-/// * a direct-mapped cache of [`CHUNK_CACHE`] **chunk** pointers, so
+/// * a direct-mapped cache of `CHUNK_CACHE` (32) **chunk** pointers, so
 ///   pointer targets over a bounded heap (16 MiB per cache generation)
 ///   skip the radix walk whether they arrive clustered or scattered;
-/// * marks into the current bitmap **line** ([`LINE_WORDS`] words = 512
+/// * marks into the current bitmap **line** (`LINE_WORDS` words = 512
 ///   granules = 8 KiB of address space) are write-combined into local
 ///   pending masks and flushed when the cursor moves on — turning up to
 ///   512 RMWs into at most 8. The flush's returned previous values give
@@ -550,7 +550,7 @@ impl fmt::Debug for ShadowMap {
 /// markers first, so nothing observes the window. [`ShadowWriter::mark`]'s
 /// newly-set return is exact from this writer's perspective (its own
 /// Per-writer profiler counters, all bumped on the writer's cold paths
-/// ([`ShadowWriter::mark_miss`], flush) so collecting them costs the hot
+/// (`ShadowWriter::mark_miss`, flush) so collecting them costs the hot
 /// mark loop nothing. Always accumulated; the sweep profiler decides
 /// whether to export them (see `SweepProf::fold_writer`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -563,14 +563,14 @@ pub struct WriterProf {
     /// Bits published out of the combine window at flush — the marks the
     /// window actually batched.
     pub window_bits: u64,
-    /// Dirty-window flushes (each batches up to [`LINE_WORDS`] RMWs).
+    /// Dirty-window flushes (each batches up to `LINE_WORDS` RMWs).
     pub flushes: u64,
     /// Direct-mapped chunk-cache probes that hit.
     pub cache_hits: u64,
     /// Probes that missed and walked the radix directory.
     pub cache_misses: u64,
     /// Misses that evicted a live tag (conflict misses; a high rate means
-    /// the heap's chunk working set outruns [`CHUNK_CACHE`]).
+    /// the heap's chunk working set outruns `CHUNK_CACHE`).
     pub cache_evictions: u64,
 }
 

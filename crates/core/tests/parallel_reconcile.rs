@@ -1,7 +1,7 @@
 //! Cross-plane reconcile for the parallel marking path.
 //!
-//! The work-stealing [`parallel_mark_accel`] folds per-thread counters —
-//! notably `filter_rejects` — into one [`ParallelMarkStats`] with a
+//! The work-stealing [`parallel_mark_pool`] folds per-thread counters —
+//! notably `filter_rejects` — into one [`ParallelMarkStats`] per job with a
 //! single atomic add per thread at join time. This test drives those
 //! aggregated stats through both telemetry planes (the `layer` counter
 //! registry and the typed event trace) and checks that
@@ -12,7 +12,8 @@
 
 use minesweeper::telemetry::{Event, EventKind, Registry, RunReport, Trigger};
 use minesweeper::{
-    parallel_mark_accel, CandidateFilter, MarkAccel, Marker, MsCounters, ShadowMap, SweepPlan,
+    parallel_mark_pool, CandidateFilter, MarkAccel, Marker, MsCounters, ParallelMarkStats,
+    PoolMarkJob, PoolMarkOpts, ShadowMap, SweepPlan,
 };
 use vmem::{Addr, AddrSpace, PAGE_SIZE};
 
@@ -45,17 +46,36 @@ fn fixture(space: &mut AddrSpace) -> (Addr, Addr, SweepPlan) {
     (candidate, live, SweepPlan::from_ranges(vec![(src, 4 * page)]))
 }
 
+/// A one-job filtered pooled mark with `helpers` requested helper threads.
+fn pooled_mark(
+    space: &AddrSpace,
+    plan: &SweepPlan,
+    helpers: usize,
+    filter: &CandidateFilter,
+) -> (ShadowMap, ParallelMarkStats) {
+    let shadow = ShadowMap::new();
+    let job = PoolMarkJob {
+        space,
+        plan,
+        shadow: &shadow,
+        filter: Some(filter),
+        cache: None,
+        forensics: None,
+    };
+    let opts = PoolMarkOpts { helper_threads: helpers, ..PoolMarkOpts::default() };
+    let stats = parallel_mark_pool(&[job], &opts).per_job[0];
+    (shadow, stats)
+}
+
 #[test]
 fn parallel_rejects_reconcile_across_both_telemetry_planes() {
     let mut space = AddrSpace::new();
-    let layout = *space.layout();
     let (candidate, live, plan) = fixture(&mut space);
     let filter = CandidateFilter::build([(candidate, CANDIDATE_PTRS * 8)]);
 
     // Parallel mark with the candidate filter: rejects are counted by
     // every worker and atomically folded at join.
-    let (shadow, stats) =
-        parallel_mark_accel(&space, &plan, &layout, 3, Some(&filter), None, None);
+    let (shadow, stats) = pooled_mark(&space, &plan, 3, &filter);
     assert_eq!(stats.filter_rejects, REJECTED_PTRS, "every live-pointer word rejected");
     assert_eq!(stats.heap_words, CANDIDATE_PTRS + REJECTED_PTRS);
     assert!(shadow.is_marked(candidate), "candidate marks survive the filter");
@@ -64,9 +84,8 @@ fn parallel_rejects_reconcile_across_both_telemetry_planes() {
     // The serial marker over the same plan and filter is the ground
     // truth the parallel aggregation must reproduce.
     let mut serial = ShadowMap::new();
-    let r = Marker::new(plan.clone()).run_to_end_accel(
+    let r = Marker::new(plan.clone()).run_to_end(
         &mut space,
-        &layout,
         &mut serial,
         &mut MarkAccel { filter: Some(&filter), ..MarkAccel::default() },
     );
@@ -132,12 +151,10 @@ fn parallel_reject_totals_are_thread_count_invariant() {
     // requested helper count (including counts the hardware clamps away)
     // and chunk granularity.
     let mut space = AddrSpace::new();
-    let layout = *space.layout();
     let (candidate, _, plan) = fixture(&mut space);
     let filter = CandidateFilter::build([(candidate, CANDIDATE_PTRS * 8)]);
     for helpers in [0, 1, 3, 7] {
-        let (_, stats) =
-            parallel_mark_accel(&space, &plan, &layout, helpers, Some(&filter), None, None);
+        let (_, stats) = pooled_mark(&space, &plan, helpers, &filter);
         assert_eq!(stats.filter_rejects, REJECTED_PTRS, "helpers={helpers}");
         assert_eq!(stats.heap_words, CANDIDATE_PTRS + REJECTED_PTRS, "helpers={helpers}");
     }

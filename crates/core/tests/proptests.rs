@@ -12,9 +12,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use minesweeper::telemetry::{RingSink, RunReport};
 use minesweeper::{
-    parallel_mark_opts, CandidateFilter, EdgeRecorder, ForensicsMode, FreeOutcome, MarkAccel,
-    Marker, MineSweeper, MsConfig, NaiveShadowMap, PageCache, ParallelMarkOpts, QEntry, ShadowMap,
-    SweepPlan,
+    parallel_mark_pool, CandidateFilter, EdgeRecorder, ForensicsMode, FreeOutcome, MarkAccel,
+    Marker, MineSweeper, MsConfig, NaiveShadowMap, PageCache, PoolMarkJob, PoolMarkOpts, QEntry,
+    ShadowMap, SweepPlan,
 };
 use vmem::{Addr, AddrSpace, Segment, PAGE_SIZE};
 
@@ -653,7 +653,6 @@ fn run_tier(
     entries: Option<&[QEntry]>,
     tbase: Addr,
 ) -> ((u64, u64, u64, u64, u64, u64), u64, Vec<bool>, Vec<Option<Vec<u64>>>, u64, Vec<(u64, u64, u64)>) {
-    let layout = *space.layout();
     let mut shadow = ShadowMap::new();
     let mut cache = PageCache::new();
     cache.begin_sweep(plan, &[], 1);
@@ -669,7 +668,7 @@ fn run_tier(
             tier: Some(tier),
             prof: None,
         };
-        let r = marker.step_accel(space, &layout, &mut shadow, budget, &mut accel);
+        let r = marker.step(space, &mut shadow, budget, &mut accel);
         totals.0 += r.words;
         totals.1 += r.bytes;
         totals.2 += r.heap_words;
@@ -756,39 +755,76 @@ proptest! {
         helpers in 0usize..5,
         chunk_pages in 1u64..4,
         filter_on in any::<bool>(),
+        cache_on in any::<bool>(),
+        dirty_mask in any::<u8>(),
     ) {
         // The work-stealing queue must not change *what* is computed:
         // for any helper count (including counts the hardware clamps)
         // and any chunk granularity, the aggregated stats and the shadow
         // map equal the serial marker's, claim order notwithstanding.
+        // With the page cache on, a serial sweep primes every page's
+        // digest, a dirty subset (`dirty_mask` bit i = page i) is retired,
+        // and both markers must replay the same clean pages.
         let mut space = AddrSpace::new();
         let (plan, tbase) = scan_fixture(&mut space, seed, pages, 0, 0, zero_pct, ptr_pct);
-        let layout = *space.layout();
         let filter = CandidateFilter::build([(tbase, PAGE_SIZE as u64)]);
         let filter = filter_on.then_some(&filter);
 
-        let mut serial_map = ShadowMap::new();
-        let serial = Marker::new(plan.clone()).run_to_end_accel(
-            &mut space,
-            &layout,
-            &mut serial_map,
-            &mut MarkAccel { filter, ..MarkAccel::default() },
-        );
+        let mut cache = PageCache::new();
+        if cache_on {
+            cache.begin_sweep(&plan, &[], 1);
+            Marker::new(plan.clone()).run_to_end(
+                &mut space,
+                &mut ShadowMap::new(),
+                &mut MarkAccel { cache: Some(&mut cache), qgen: 1, ..MarkAccel::default() },
+            );
+            let base = plan.ranges()[0].0;
+            let dirty: Vec<_> = (0..pages)
+                .filter(|i| (dirty_mask >> i) & 1 == 1)
+                .map(|i| base.add_bytes(i * PAGE_SIZE as u64).page())
+                .collect();
+            cache.begin_sweep(&plan, &dirty, 2);
+        }
 
-        let (map, stats) = parallel_mark_opts(
-            &space,
-            &plan,
-            &layout,
-            &ParallelMarkOpts {
-                helper_threads: helpers,
+        // The serial marker re-records the dirty pages' digests; the
+        // parallel one replays from the same pre-sweep snapshot.
+        let snapshot = cache.clone();
+        let mut serial_map = ShadowMap::new();
+        let serial = Marker::new(plan.clone()).run_to_end(
+            &mut space,
+            &mut serial_map,
+            &mut MarkAccel {
                 filter,
-                chunk_pages: Some(chunk_pages),
-                ..ParallelMarkOpts::default()
+                cache: cache_on.then_some(&mut cache),
+                qgen: 2,
+                ..MarkAccel::default()
             },
         );
+
+        let map = ShadowMap::new();
+        let job = PoolMarkJob {
+            space: &space,
+            plan: &plan,
+            shadow: &map,
+            filter,
+            cache: cache_on.then_some(&snapshot),
+            forensics: None,
+        };
+        let opts = PoolMarkOpts {
+            helper_threads: helpers,
+            chunk_pages: Some(chunk_pages),
+            ..PoolMarkOpts::default()
+        };
+        let stats = parallel_mark_pool(&[job], &opts).per_job[0];
         prop_assert_eq!(stats.words, serial.words);
         prop_assert_eq!(stats.heap_words, serial.heap_words);
         prop_assert_eq!(stats.filter_rejects, serial.filter_rejects);
+        prop_assert_eq!(stats.pages_skipped, serial.pages_skipped);
+        prop_assert_eq!(stats.pages_replayed, serial.pages_replayed);
+        if cache_on {
+            let clean = (0..pages).filter(|i| (dirty_mask >> i) & 1 == 0).count() as u64;
+            prop_assert_eq!(serial.pages_skipped, clean);
+        }
         prop_assert_eq!(map.marked_count(), serial_map.marked_count());
         for g in 0..2 * PAGE_SIZE as u64 / 16 {
             prop_assert_eq!(

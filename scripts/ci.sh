@@ -364,6 +364,11 @@ stage_clippy() {
     cargo clippy --workspace --all-targets -- -D warnings
 }
 
+# desc: rustdoc with warnings denied (no stale or private doc links)
+stage_docs() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+}
+
 # ---------------------------------------------------------------------------
 # Driver.
 # ---------------------------------------------------------------------------
@@ -386,6 +391,7 @@ STAGES=(
     security-selftest
     costs
     clippy
+    docs
 )
 
 desc_of() {
