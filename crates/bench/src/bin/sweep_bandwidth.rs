@@ -66,6 +66,7 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 use std::time::{Instant, SystemTime};
 
+use minesweeper::telemetry::compare::TRAJECTORY_SCHEMA;
 use minesweeper::telemetry::{
     EventKind, Histogram, NullSink, Registry, Tracer, SNAPSHOT_SCHEMA_VERSION,
 };
@@ -78,9 +79,6 @@ use vmem::{Addr, AddrSpace, Layout, PageIdx, PAGE_SIZE, WORD_SIZE};
 
 /// Subsystem label for the bench's own instruments.
 const BENCH_SUBSYSTEM: &str = "bench";
-
-/// Schema version of `BENCH_trajectory.jsonl` lines.
-const TRAJECTORY_SCHEMA: u32 = 1;
 
 /// `--handicap NAME:FACTOR` multipliers, applied to each measured rep of
 /// the matching config. Exists so CI can inject a synthetic regression

@@ -11,29 +11,25 @@ const USAGE: &str = "\
 ms-report — summarise MineSweeper sweep-lifecycle traces
 
 USAGE:
-    ms-report <run.jsonl> [--metrics <metrics.json>] [--check]
-              [--pinners] [--failed-frees]
-    ms-report --metrics <metrics.json> [--check]
+    ms-report <run.jsonl> [--metrics <metrics.json>] [--pinners] [--failed-frees]
+    ms-report --metrics <metrics.json>
     ms-report --slo <spec> --metrics <metrics.json>
     ms-report --compare <old.json> <new.json> [--threshold <pct>]
-    ms-report --security <matrix.json> [--baseline <matrix.json>] [--check]
-    ms-report --costs <metrics.json> [<run.jsonl>] [--check]
+    ms-report --security <matrix.json> [--baseline <matrix.json>]
+    ms-report --costs <metrics.json> [<run.jsonl>]
     ms-report --trajectory <trajectory.jsonl>
+    (every form but --compare and --trajectory also takes --check)
 
 Prints a per-sweep timeline plus failed-free and quarantine tables from
 the JSONL event stream; with --metrics also the engine's pause/STW/sweep
 histograms. --pinners ranks allocation sites by the bytes their dangling
 pointers pin in quarantine, and --failed-frees lists every entry still in
 the failed-free ledger (both need a trace recorded with the `forensics`
-config knob on). --check reconciles the trace's aggregated totals —
-including the forensic ledger, when present — against the snapshot's
-counters and fails on any mismatch.
+config knob on).
 
 Without a trace file, --metrics alone renders a multi-arena snapshot
 (minesweeper-sim run --arenas N --metrics-out): the per-arena shard
-table, the sweep-scheduler summary and each arena's pause histograms;
---check then requires the sum of every shard's counters to equal the
-independently accumulated arena/total_* globals.
+table, the sweep-scheduler summary and each arena's pause histograms.
 
 --slo evaluates the snapshot against a comma-separated objective spec
 (stw=CYCLES,sweep=CYCLES,qratio=PERMILLE,util=PCT), prints a pass/fail
@@ -45,36 +41,49 @@ the runs' measured noise, and exits 2 when a non-degraded config slowed
 beyond both --threshold (default 5%) and the noise on a same-host pair.
 
 --security renders the scenario x backend verdict matrix from a
-SECURITY_matrix.json (minesweeper-sim exploit --corpus --out); --check
-reconciles its embedded security/* counters against the cells — including
-each cell's schema-2 defence-cycle attribution. With --baseline it diffs
-the matrix against a committed baseline and exits 2 when a cell's verdict
-regressed, a baseline cell went missing, or any minesweeper cell is
-compromised (the hard floor).
+SECURITY_matrix.json (minesweeper-sim exploit --corpus --out). With
+--baseline it diffs the matrix against a committed baseline and exits 2
+when a cell's verdict regressed, a baseline cell went missing, or any
+minesweeper cell is compromised (the hard floor).
 
 --costs renders the defence-cost attribution ledger from a metrics
 snapshot (minesweeper-sim run --metrics-out): per-kind, per-site and
 per-arena cycle tables with their share of cost/total_cycles, plus the
 per-sweep cost distribution. An optional trace file joins the top sites
-against the bytes they pin in quarantine (needs forensics). --check
-verifies the ledger's conservation invariants — every dimension must sum
-to the total and each kind's counter must match its histogram — and
-exits 2 naming the leaking kind otherwise.
+against the bytes they pin in quarantine (needs forensics).
 
 --trajectory renders the per-config trend table from an append-only
 BENCH_trajectory.jsonl history (sweep_bandwidth --trajectory): best_us
-at the oldest and newest revision per config, with degraded samples
-marked.
+at the oldest and newest recorded revision per config, with degraded
+samples marked.
+
+--check runs, after the report, every conservation invariant the loaded
+artifacts allow, each owned by the module that writes its numbers:
+    trace + metrics         telemetry::RunReport::reconcile — event totals
+                            vs layer counters, per-sweep scanned + skipped
+                            bytes vs plan bytes, the forensic ledger
+    metrics with arenas     sim::reconcile_arenas — shard counters vs the
+                            arena/total_* globals
+    metrics with a ledger   sim::CostLedger::reconcile — kind/site/arena
+                            dimensions vs cost/total_cycles, kind counters
+                            vs their histograms
+    security matrix         sim::SecurityMatrix::reconcile — security/*
+                            counters and per-cell defence bills recounted
+                            from the cells
+Each invariant that holds prints one pass line; a violation names the
+invariant and every mismatched counter and exits 2. --check with nothing
+to check (e.g. a trace without --metrics) is bad input.
 
 EXIT CODES:
     0  success — report printed, every requested gate passed
-    1  bad input — unreadable file, malformed document, unknown flag
-    2  gate failure — SLO breach, bench regression, security verdict
-       regression, or a cost-ledger conservation leak
+    1  bad input — unreadable file, malformed document, unknown flag,
+       --check with nothing to check
+    2  gate failure — any --check invariant violation, SLO breach, bench
+       regression, or security verdict regression
 ";
 
-/// Exit code for a failed gate (SLO breach or bench regression) —
-/// distinct from 1, which means bad input.
+/// Exit code for a failed gate (an invariant violation, SLO breach, bench
+/// or verdict regression) — distinct from 1, which means bad input.
 const GATE_FAILED: u8 = 2;
 
 fn main() -> ExitCode {
@@ -105,70 +114,31 @@ fn run(args: &[String]) -> Result<(String, bool), CliError> {
     let mut trajectory = None;
     let mut compare: Option<(String, String)> = None;
     let mut threshold = telemetry::DEFAULT_THRESHOLD_PCT;
+    let mut check = false;
     let mut opts = ReportOpts::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut value = |what: &str| {
+            it.next().cloned().ok_or_else(|| CliError(format!("{arg} needs {what}")))
+        };
         match arg.as_str() {
             "-h" | "--help" => return Ok((USAGE.to_string(), true)),
-            "--metrics" => {
-                metrics = Some(
-                    it.next()
-                        .ok_or_else(|| CliError("--metrics needs a value".into()))?
-                        .clone(),
-                );
-            }
-            "--slo" => {
-                slo = Some(
-                    it.next().ok_or_else(|| CliError("--slo needs a spec".into()))?.clone(),
-                );
-            }
-            "--security" => {
-                security = Some(
-                    it.next()
-                        .ok_or_else(|| CliError("--security needs a value".into()))?
-                        .clone(),
-                );
-            }
-            "--baseline" => {
-                baseline = Some(
-                    it.next()
-                        .ok_or_else(|| CliError("--baseline needs a value".into()))?
-                        .clone(),
-                );
-            }
-            "--costs" => {
-                costs = Some(
-                    it.next()
-                        .ok_or_else(|| CliError("--costs needs a metrics file".into()))?
-                        .clone(),
-                );
-            }
-            "--trajectory" => {
-                trajectory = Some(
-                    it.next()
-                        .ok_or_else(|| {
-                            CliError("--trajectory needs a history file".into())
-                        })?
-                        .clone(),
-                );
-            }
+            "--metrics" => metrics = Some(value("a value")?),
+            "--slo" => slo = Some(value("a spec")?),
+            "--security" => security = Some(value("a value")?),
+            "--baseline" => baseline = Some(value("a value")?),
+            "--costs" => costs = Some(value("a metrics file")?),
+            "--trajectory" => trajectory = Some(value("a history file")?),
             "--compare" => {
-                let old = it
-                    .next()
-                    .ok_or_else(|| CliError("--compare needs <old.json> <new.json>".into()))?;
-                let new = it
-                    .next()
-                    .ok_or_else(|| CliError("--compare needs <old.json> <new.json>".into()))?;
-                compare = Some((old.clone(), new.clone()));
+                let old = value("<old.json> <new.json>")?;
+                compare = Some((old, value("<old.json> <new.json>")?));
             }
             "--threshold" => {
-                threshold = it
-                    .next()
-                    .ok_or_else(|| CliError("--threshold needs a percentage".into()))?
+                threshold = value("a percentage")?
                     .parse()
                     .map_err(|_| CliError("--threshold must be a number".into()))?;
             }
-            "--check" => opts.check = true,
+            "--check" => check = true,
             "--pinners" => opts.pinners = true,
             "--failed-frees" => opts.failed_frees = true,
             flag if flag.starts_with('-') => {
@@ -185,63 +155,73 @@ fn run(args: &[String]) -> Result<(String, bool), CliError> {
     if baseline.is_some() && security.is_none() {
         return Err(CliError("--baseline needs --security <matrix.json>".into()));
     }
+    if check && (trajectory.is_some() || compare.is_some()) {
+        return Err(CliError("--check does not apply to --trajectory or --compare".into()));
+    }
     if let Some(path) = trajectory {
         return Ok((ms_cli::render_trajectory(&read(&path)?)?, true));
     }
-    if let Some(path) = costs {
-        // The positional trace file, when given, joins pinned bytes into
-        // the per-site cost table.
-        let trace_text = match &trace {
-            Some(p) => Some(read(p)?),
-            None => None,
-        };
-        return ms_cli::render_costs(&read(&path)?, trace_text.as_deref(), opts.check);
-    }
-    if let Some(path) = security {
-        let new_text = read(&path)?;
-        let mut out = ms_cli::render_security(&new_text, opts.check)?;
-        return match baseline {
-            None => Ok((out, true)),
-            Some(base) => {
-                let (gate, failed) = ms_cli::gate_security(&read(&base)?, &new_text)?;
-                out.push_str(&gate);
-                Ok((out, !failed))
-            }
-        };
-    }
     if let Some((old, new)) = compare {
-        let old_text = read(&old)?;
-        let new_text = read(&new)?;
-        let (out, regressed) = ms_cli::render_compare(&old_text, &new_text, threshold)?;
+        let (out, regressed) = ms_cli::render_compare(&read(&old)?, &read(&new)?, threshold)?;
         return Ok((out, !regressed));
     }
-    if let Some(spec) = slo {
-        let metrics =
-            metrics.ok_or_else(|| CliError("--slo needs --metrics <file>".into()))?;
-        let (out, breached) = ms_cli::render_slo(&read(&metrics)?, &spec)?;
-        return Ok((out, !breached));
-    }
 
-    let Some(trace) = trace else {
-        // Metrics-only mode: a multi-arena snapshot report.
-        let metrics = metrics.ok_or_else(|| {
-            CliError("ms-report needs a trace file or --metrics <file>".into())
-        })?;
-        if opts.pinners || opts.failed_frees {
-            return Err(CliError(
-                "--pinners/--failed-frees need a trace file".into(),
-            ));
+    // Every other mode parses its artifacts once; the renderer and the
+    // --check pass share them.
+    let mut matrix = None;
+    let mut report = None;
+    let mut snap = None;
+    let (mut out, mut gate_ok) = if let Some(path) = security {
+        let new = read_matrix(&path)?;
+        let mut out = ms_cli::render_security(&new);
+        let mut gate_ok = true;
+        if let Some(base) = baseline {
+            let (gate, failed) = ms_cli::gate_security(&read_matrix(&base)?, &new);
+            out.push_str(&gate);
+            gate_ok = !failed;
         }
-        let out = ms_cli::render_metrics_report(&read(&metrics)?, opts.check)?;
-        return Ok((out, true));
+        matrix = Some(new);
+        (out, gate_ok)
+    } else {
+        // --costs names its own metrics snapshot; the positional trace
+        // file, when given, joins pinned bytes into its site table.
+        if let Some(path) = costs.as_ref().or(metrics.as_ref()) {
+            snap = Some(ms_cli::parse_metrics(&read(path)?)?);
+        }
+        if let Some(path) = &trace {
+            report = Some(ms_cli::parse_trace(&read(path)?)?);
+        }
+        if let Some(spec) = slo {
+            let snap =
+                snap.as_ref().ok_or_else(|| CliError("--slo needs --metrics <file>".into()))?;
+            let (out, breached) = ms_cli::render_slo(snap, &spec)?;
+            (out, !breached)
+        } else if costs.is_some() {
+            (ms_cli::render_costs(snap.as_ref().expect("parsed above"), report.as_ref())?, true)
+        } else if let Some(report) = &report {
+            (ms_cli::render_report_with(report, snap.as_ref(), &opts), true)
+        } else {
+            // Metrics-only mode: a multi-arena snapshot report.
+            let snap = snap.as_ref().ok_or_else(|| {
+                CliError("ms-report needs a trace file or --metrics <file>".into())
+            })?;
+            if opts.pinners || opts.failed_frees {
+                return Err(CliError("--pinners/--failed-frees need a trace file".into()));
+            }
+            (ms_cli::render_metrics_report(snap)?, true)
+        }
     };
-    let trace_text = read(&trace)?;
-    let metrics_text = match &metrics {
-        Some(path) => Some(read(path)?),
-        None => None,
-    };
-    let out = ms_cli::render_report_with(&trace_text, metrics_text.as_deref(), &opts)?;
-    Ok((out, true))
+    if check {
+        let (text, held) = ms_cli::check(report.as_ref(), snap.as_ref(), matrix.as_ref())?;
+        out.push_str(&text);
+        gate_ok &= held;
+    }
+    Ok((out, gate_ok))
+}
+
+fn read_matrix(path: &str) -> Result<sim::SecurityMatrix, CliError> {
+    sim::SecurityMatrix::from_json(&read(path)?)
+        .map_err(|e| CliError(format!("bad security matrix {path}: {e}")))
 }
 
 fn read(path: &str) -> Result<String, CliError> {

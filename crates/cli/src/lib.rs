@@ -12,9 +12,12 @@
 //! ```
 
 use sim::report::{bytes, fx, table, telemetry_tables};
-use sim::{run, run_arenas, run_exploit, run_trace, Engine, System, ARENA_SUBSYSTEM, ENGINE_SUBSYSTEM};
+use sim::{
+    run, run_arenas, run_exploit, run_trace, Engine, SecurityMatrix, System, ARENA_KEYS,
+    ARENA_SUBSYSTEM, ENGINE_SUBSYSTEM,
+};
 use telemetry::{pause_table, JsonlSink, RunReport, Snapshot};
-use workloads::exploit::figure2_attack;
+use workloads::exploit::{figure2_attack, ExploitOutcome};
 use workloads::{mimalloc_bench, recorded, spec2006, spec2017, Profile, TraceGen};
 
 /// A parsed command line.
@@ -133,98 +136,36 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut fuzz = 3u32;
             let mut weaken = None;
             while let Some(arg) = it.next() {
+                let mut value = |what: &str| {
+                    it.next().cloned().ok_or_else(|| CliError(format!("{arg} needs {what}")))
+                };
                 match arg.as_str() {
                     "--corpus" => corpus = true,
                     "--fuzz" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--fuzz needs a value".into()))?;
-                        fuzz = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad fuzz count: {v}")))?;
+                        let v = value("a value")?;
+                        fuzz = v.parse().map_err(|_| CliError(format!("bad fuzz count: {v}")))?;
                     }
-                    "--weaken" => {
-                        weaken = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--weaken needs a value".into()))?
-                                .clone(),
-                        );
-                    }
-                    "--system" => {
-                        system = it
-                            .next()
-                            .ok_or_else(|| CliError("--system needs a value".into()))?
-                            .clone();
-                    }
+                    "--weaken" => weaken = Some(value("a value")?),
+                    "--system" => system = value("a value")?,
                     "--seed" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--seed needs a value".into()))?;
-                        seed = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad seed: {v}")))?;
+                        let v = value("a value")?;
+                        seed = v.parse().map_err(|_| CliError(format!("bad seed: {v}")))?;
                     }
-                    "--out" => {
-                        out = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--out needs a value".into()))?
-                                .clone(),
-                        );
-                    }
-                    "--knobs" => {
-                        knobs = it
-                            .next()
-                            .ok_or_else(|| CliError("--knobs needs a value".into()))?
-                            .clone();
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(
-                            it.next()
-                                .ok_or_else(|| {
-                                    CliError("--trace-out needs a value".into())
-                                })?
-                                .clone(),
-                        );
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(
-                            it.next()
-                                .ok_or_else(|| {
-                                    CliError("--metrics-out needs a value".into())
-                                })?
-                                .clone(),
-                        );
-                    }
-                    "--forensics" => {
-                        forensics = Some(
-                            it.next()
-                                .ok_or_else(|| {
-                                    CliError("--forensics needs a value".into())
-                                })?
-                                .clone(),
-                        );
-                    }
+                    "--out" => out = Some(value("a value")?),
+                    "--knobs" => knobs = value("a value")?,
+                    "--trace-out" => trace_out = Some(value("a value")?),
+                    "--metrics-out" => metrics_out = Some(value("a value")?),
+                    "--forensics" => forensics = Some(value("a value")?),
                     "--arenas" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--arenas needs a value".into()))?;
-                        let n: u32 = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad arena count: {v}")))?;
+                        let v = value("a value")?;
+                        let n: u32 =
+                            v.parse().map_err(|_| CliError(format!("bad arena count: {v}")))?;
                         if n == 0 {
                             return Err(CliError("--arenas needs at least one".into()));
                         }
                         arenas = Some(n);
                     }
-                    "--cost-drop" => {
-                        cost_drop = Some(
-                            it.next()
-                                .ok_or_else(|| {
-                                    CliError("--cost-drop needs a cost kind".into())
-                                })?
-                                .clone(),
-                        );
-                    }
+                    "--cost-drop" => cost_drop = Some(value("a cost kind")?),
                     flag if flag.starts_with('-') => {
                         return Err(CliError(format!("unknown flag: {flag}")));
                     }
@@ -564,10 +505,9 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                         .ok_or_else(|| CliError(format!("unknown weaken knob: {label}")))?,
                 };
                 let matrix = sim::run_corpus(*seed, *fuzz, weaken);
-                let json = matrix.to_json();
-                let mut text = render_security(&json, false)?;
+                let mut text = render_security(&matrix);
                 if let Some(path) = out {
-                    std::fs::write(path, &json)
+                    std::fs::write(path, matrix.to_json())
                         .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
                     text.push_str(&format!("wrote security matrix to {path}\n"));
                 }
@@ -613,10 +553,23 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
     }
 }
 
-/// The counter keys every arena shard exports and the run re-accumulates
-/// globally — the reconciliation surface between the two paths.
-const ARENA_KEYS: [&str; 4] =
-    ["quarantined_bytes", "released_bytes", "failed_frees", "sweeps"];
+/// Parses a JSONL sweep trace for `ms-report`.
+///
+/// # Errors
+///
+/// [`CliError`] naming the malformed (or torn final) line.
+pub fn parse_trace(text: &str) -> Result<RunReport, CliError> {
+    RunReport::from_jsonl(text).map_err(|e| CliError(format!("bad trace: {e}")))
+}
+
+/// Parses a metrics snapshot for `ms-report`.
+///
+/// # Errors
+///
+/// [`CliError`] on malformed JSON or an unsupported snapshot schema.
+pub fn parse_metrics(text: &str) -> Result<Snapshot, CliError> {
+    Snapshot::from_json(text).map_err(|e| CliError(format!("bad metrics: {e}")))
+}
 
 /// Renders the per-arena shard table (one row per tenant, a totals row
 /// from the independently accumulated `arena/total_*` counters) plus a
@@ -692,19 +645,13 @@ fn arena_table(snap: &Snapshot) -> Result<String, CliError> {
 
 /// Renders an `ms-report` summary from a multi-arena metrics snapshot
 /// alone (no sweep trace): the per-arena shard table, the scheduler
-/// summary, and each arena's pause/STW/sweep histograms. With `check`,
-/// the sum of every shard's counters must equal the independently
-/// accumulated `arena/total_*` globals — a lost update in either
-/// accounting path is an error.
+/// summary, and each arena's pause/STW/sweep histograms.
 ///
 /// # Errors
 ///
-/// [`CliError`] on malformed metrics, a snapshot without arena counters,
-/// or a reconciliation mismatch.
-pub fn render_metrics_report(metrics_text: &str, check: bool) -> Result<String, CliError> {
-    let snap = Snapshot::from_json(metrics_text)
-        .map_err(|e| CliError(format!("bad metrics: {e}")))?;
-    let mut out = arena_table(&snap)?;
+/// [`CliError`] when the snapshot has no arena counters.
+pub fn render_metrics_report(snap: &Snapshot) -> Result<String, CliError> {
+    let mut out = arena_table(snap)?;
     let n = snap.counter(ARENA_SUBSYSTEM, "arenas").unwrap_or(0);
     for k in 0..n {
         for name in ["pause_cycles", "stw_cycles", "sweep_cycles"] {
@@ -717,32 +664,12 @@ pub fn render_metrics_report(metrics_text: &str, check: bool) -> Result<String, 
             }
         }
     }
-    if check {
-        for key in ARENA_KEYS {
-            let sum: u64 = (0..n)
-                .map(|k| {
-                    snap.counter(ARENA_SUBSYSTEM, &format!("a{k}_{key}")).unwrap_or(0)
-                })
-                .sum();
-            let total =
-                snap.counter(ARENA_SUBSYSTEM, &format!("total_{key}")).unwrap_or(0);
-            if sum != total {
-                return Err(CliError(format!(
-                    "arena reconcile failed: shard {key} sums to {sum}, global total \
-                     counted {total}"
-                )));
-            }
-        }
-        out.push_str("\nreconcile: arena shard counters match global totals\n");
-    }
     Ok(out)
 }
 
 /// What an `ms-report` rendering should include beyond the base timeline.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct ReportOpts {
-    /// Reconcile trace totals against the metrics snapshot's counters.
-    pub check: bool,
     /// Append the forensics pinner table (sites ranked by pinned bytes).
     pub pinners: bool,
     /// Append the per-entry failed-free ledger detail table.
@@ -750,26 +677,16 @@ pub struct ReportOpts {
 }
 
 /// Renders an `ms-report` summary: a per-sweep timeline plus failed-free
-/// and quarantine tables (the paper's Fig. 13/14 shapes) from a JSONL
-/// sweep trace, and — when a metrics snapshot is supplied — the engine's
+/// and quarantine tables (the paper's Fig. 13/14 shapes) from a sweep
+/// trace, and — when a metrics snapshot is supplied — the engine's
 /// pause/STW/sweep duration histograms. `opts.pinners` /
 /// `opts.failed_frees` append the forensics views (which need a trace
-/// recorded with the `forensics` knob on). With `opts.check`, the trace's
-/// aggregated totals are reconciled against the snapshot's layer counters
-/// and any mismatch is an error.
-///
-/// # Errors
-///
-/// [`CliError`] on malformed/truncated inputs, `check` without metrics,
-/// or a reconciliation mismatch.
+/// recorded with the `forensics` knob on).
 pub fn render_report_with(
-    trace_text: &str,
-    metrics_text: Option<&str>,
+    report: &RunReport,
+    snap: Option<&Snapshot>,
     opts: &ReportOpts,
-) -> Result<String, CliError> {
-    let check = opts.check;
-    let report = RunReport::from_jsonl(trace_text)
-        .map_err(|e| CliError(format!("bad trace: {e}")))?;
+) -> String {
     let mut rows = vec![vec![
         "sweep".to_string(),
         "trigger".into(),
@@ -809,9 +726,7 @@ pub fn render_report_with(
         out.push('\n');
         out.push_str(&report.failed_free_detail_table());
     }
-    if let Some(text) = metrics_text {
-        let snap = Snapshot::from_json(text)
-            .map_err(|e| CliError(format!("bad metrics: {e}")))?;
+    if let Some(snap) = snap {
         for name in ["pause_cycles", "stw_cycles", "sweep_cycles"] {
             if let Some(h) = snap.histogram(ENGINE_SUBSYSTEM, name) {
                 if h.count() > 0 {
@@ -820,24 +735,78 @@ pub fn render_report_with(
                 }
             }
         }
-        if check {
-            report.reconcile(&snap).map_err(CliError)?;
-            // Per-sweep mark accounting: every byte the plan advanced
-            // through was either read word-by-word or skipped wholesale.
-            for r in &report.sweeps {
-                if r.mark_words * 8 + r.mark_skipped_bytes != r.mark_bytes {
-                    return Err(CliError(format!(
-                        "sweep {}: scanned {} words + skipped {} bytes != {} plan bytes",
-                        r.sweep, r.mark_words, r.mark_skipped_bytes, r.mark_bytes
-                    )));
-                }
-            }
-            out.push_str("\nreconcile: trace totals match metrics counters\n");
-        }
-    } else if check {
-        return Err(CliError("--check needs --metrics <file>".into()));
     }
-    Ok(out)
+    out
+}
+
+/// The one `ms-report --check` pass: runs every conservation invariant
+/// the loaded artifacts allow, each owned by the module that writes the
+/// numbers it checks:
+///
+/// * trace + metrics — [`RunReport::reconcile`] (event totals against
+///   the layer counters, per-sweep mark accounting, the forensic ledger);
+/// * metrics with `arena/arenas` — [`sim::reconcile_arenas`] (shard
+///   counters against the `arena/total_*` globals);
+/// * metrics with `cost/total_cycles` — [`sim::CostLedger::reconcile`]
+///   (the kind/site/arena dimensions against the total);
+/// * a security matrix — [`sim::SecurityMatrix::reconcile`] (embedded
+///   `security/*` counters recounted from the cells).
+///
+/// Returns a pass line per invariant that held, a `FAILED` block naming
+/// each mismatch of one that did not, and whether all held (`ms-report`
+/// exits 2 when not).
+///
+/// # Errors
+///
+/// [`CliError`] when the inputs allow no invariant at all (e.g. a trace
+/// without metrics): a check with nothing to check would vacuously pass.
+pub fn check(
+    trace: Option<&RunReport>,
+    metrics: Option<&Snapshot>,
+    security: Option<&SecurityMatrix>,
+) -> Result<(String, bool), CliError> {
+    // (invariant, pass line, mismatches) for every invariant that applies.
+    let mut results: Vec<(&str, &str, Vec<String>)> = Vec::new();
+    if let (Some(report), Some(snap)) = (trace, metrics) {
+        let mismatches = report.reconcile(snap).err().into_iter().collect();
+        let pass = "reconcile: trace totals match metrics counters";
+        results.push(("trace/metrics", pass, mismatches));
+    }
+    if let Some(snap) = metrics {
+        if snap.counter(ARENA_SUBSYSTEM, "arenas").is_some() {
+            let pass = "reconcile: arena shard counters match global totals";
+            results.push(("arena shard", pass, sim::reconcile_arenas(snap)));
+        }
+        if let Some(ledger) = sim::CostLedger::from_snapshot(snap) {
+            let pass = "reconcile: kind/site/arena dimensions each sum to total_cycles";
+            results.push(("cost ledger", pass, ledger.reconcile()));
+        }
+    }
+    if let Some(matrix) = security {
+        let pass = "check: counters reconcile with cells";
+        results.push(("security counter", pass, matrix.reconcile()));
+    }
+    if results.is_empty() {
+        return Err(CliError(
+            "--check has nothing to check: it needs a trace with --metrics, metrics \
+             carrying a cost ledger or arena counters, or --security"
+                .into(),
+        ));
+    }
+    let mut out = String::new();
+    let mut ok = true;
+    for (invariant, pass, mismatches) in results {
+        if mismatches.is_empty() {
+            out.push_str(&format!("\n{pass}\n"));
+        } else {
+            ok = false;
+            out.push_str(&format!("\n{invariant} reconciliation FAILED:\n"));
+            for m in &mismatches {
+                out.push_str(&format!("  {m}\n"));
+            }
+        }
+    }
+    Ok((out, ok))
 }
 
 /// Evaluates an `ms-report --slo` policy spec against a metrics snapshot.
@@ -846,18 +815,16 @@ pub fn render_report_with(
 ///
 /// # Errors
 ///
-/// [`CliError`] on malformed metrics, a malformed spec, or an empty spec
-/// (a policy with nothing to check would vacuously pass).
-pub fn render_slo(metrics_text: &str, spec: &str) -> Result<(String, bool), CliError> {
-    let snap = Snapshot::from_json(metrics_text)
-        .map_err(|e| CliError(format!("bad metrics: {e}")))?;
+/// [`CliError`] on a malformed spec or an empty spec (a policy with
+/// nothing to check would vacuously pass).
+pub fn render_slo(snap: &Snapshot, spec: &str) -> Result<(String, bool), CliError> {
     let policy = telemetry::SloPolicy::parse(spec).map_err(CliError)?;
     if policy.is_empty() {
         return Err(CliError(
             "--slo needs at least one objective (stw=N,sweep=N,qratio=N,util=N)".into(),
         ));
     }
-    let checks = telemetry::Watchdog::new(policy).evaluate(&snap);
+    let checks = telemetry::Watchdog::new(policy).evaluate(snap);
     let breached = checks.iter().any(|c| !c.pass);
     Ok((telemetry::slo_table(&checks), breached))
 }
@@ -890,281 +857,72 @@ pub fn render_compare(
     Ok((out, regressed && !report.cross_host()))
 }
 
-/// One parsed `SECURITY_matrix.json` cell: a scenario × backend verdict
-/// with its baseline attack-window latency and — schema 2 — the defence
-/// cycles that backend spent earning the verdict, broken down by
-/// [`sim::CostKind`]. Schema-1 documents predate the cost ledger; their
-/// cells parse with zero defence cost.
-struct SecCellView {
-    scenario: String,
-    backend: String,
-    verdict: String,
-    window: Option<u64>,
-    defence_cycles: u64,
-    defence_kinds: Vec<(String, u64)>,
-}
-
-/// A `(scenario, backend) -> verdict label` view of a parsed
-/// `SECURITY_matrix.json`, plus the run's provenance fields.
-struct SecDoc {
-    schema: u64,
-    weaken: String,
-    seed: u64,
-    fuzz: u64,
-    backends: Vec<String>,
-    scenarios: Vec<String>,
-    cells: Vec<SecCellView>,
-    counters: Vec<(String, u64)>,
-}
-
-fn parse_security(text: &str) -> Result<SecDoc, CliError> {
-    let doc = telemetry::json::Json::parse(text)
-        .map_err(|e| CliError(format!("bad security matrix: {e}")))?;
-    let schema = doc.get("schema").and_then(telemetry::json::Json::as_u64);
-    let min = u64::from(sim::SECURITY_MIN_SCHEMA);
-    let max = u64::from(sim::SECURITY_SCHEMA);
-    let schema = match schema {
-        Some(s) if (min..=max).contains(&s) => s,
-        _ => {
-            return Err(CliError(format!(
-                "unsupported security matrix schema {schema:?} (want {min}..={max})"
-            )))
-        }
-    };
-    let str_list = |key: &str, field: &str| -> Result<Vec<String>, CliError> {
-        doc.get(key)
-            .and_then(telemetry::json::Json::as_array)
-            .ok_or_else(|| CliError(format!("security matrix missing {key}")))?
-            .iter()
-            .map(|v| {
-                let s = if field.is_empty() {
-                    v.as_str()
-                } else {
-                    v.get(field).and_then(telemetry::json::Json::as_str)
-                };
-                s.map(String::from)
-                    .ok_or_else(|| CliError(format!("malformed {key} entry")))
-            })
-            .collect()
-    };
-    let backends = str_list("backends", "")?;
-    let scenarios = str_list("scenarios", "name")?;
-    let mut cells = Vec::new();
-    for cell in doc
-        .get("cells")
-        .and_then(telemetry::json::Json::as_array)
-        .ok_or_else(|| CliError("security matrix missing cells".into()))?
-    {
-        let field = |k: &str| {
-            cell.get(k)
-                .and_then(telemetry::json::Json::as_str)
-                .map(String::from)
-                .ok_or_else(|| CliError(format!("cell missing {k}")))
-        };
-        let window = cell.get("attack_window").and_then(telemetry::json::Json::as_u64);
-        let verdict = field("verdict")?;
-        if workloads::exploit::ExploitOutcome::from_label(&verdict).is_none() {
-            return Err(CliError(format!("unknown verdict label: {verdict}")));
-        }
-        // Schema 1 predates the cost ledger: no defence fields, cost 0.
-        let defence_cycles =
-            cell.get("defence_cycles").and_then(telemetry::json::Json::as_u64).unwrap_or(0);
-        let mut defence_kinds = Vec::new();
-        if let Some(telemetry::json::Json::Obj(pairs)) = cell.get("defence_kinds") {
-            for (k, v) in pairs {
-                if sim::CostKind::from_label(k).is_none() {
-                    return Err(CliError(format!("unknown defence cost kind: {k}")));
-                }
-                defence_kinds.push((
-                    k.clone(),
-                    v.as_u64()
-                        .ok_or_else(|| CliError(format!("bad defence kind {k}")))?,
-                ));
-            }
-        }
-        cells.push(SecCellView {
-            scenario: field("scenario")?,
-            backend: field("backend")?,
-            verdict,
-            window,
-            defence_cycles,
-            defence_kinds,
-        });
-    }
-    let mut counters = Vec::new();
-    if let Some(telemetry::json::Json::Obj(pairs)) = doc.get("counters") {
-        for (k, v) in pairs {
-            counters.push((
-                k.clone(),
-                v.as_u64().ok_or_else(|| CliError(format!("bad counter {k}")))?,
-            ));
-        }
-    }
-    Ok(SecDoc {
-        schema,
-        weaken: doc
-            .get("weaken")
-            .and_then(telemetry::json::Json::as_str)
-            .unwrap_or("none")
-            .to_string(),
-        seed: doc.get("seed").and_then(telemetry::json::Json::as_u64).unwrap_or(0),
-        fuzz: doc.get("fuzz").and_then(telemetry::json::Json::as_u64).unwrap_or(0),
-        backends,
-        scenarios,
-        cells,
-        counters,
-    })
-}
-
-fn verdict_rank(label: &str) -> u8 {
-    workloads::exploit::ExploitOutcome::from_label(label).map_or(0, |o| o.rank())
-}
-
-/// Renders the human-readable scenario × backend security matrix from a
-/// `SECURITY_matrix.json` document (`ms-report --security`). With
-/// `check`, every `security/*` counter embedded in the document is
-/// recomputed from the cells and must match — a drifted counter means the
-/// exporter and the matrix disagree about what actually ran.
-///
-/// # Errors
-///
-/// [`CliError`] on a malformed document or (with `check`) a counter
-/// reconciliation mismatch.
-pub fn render_security(text: &str, check: bool) -> Result<String, CliError> {
-    let doc = parse_security(text)?;
+/// Renders the human-readable scenario × backend security matrix
+/// (`ms-report --security`): one verdict code per cell, the baseline
+/// column's attack window and minesweeper's defence cycles per scenario,
+/// plus verdict totals.
+pub fn render_security(m: &SecurityMatrix) -> String {
     let mut out = format!(
         "security matrix: {} scenarios x {} backends (seed {}, fuzz {})\n",
-        doc.scenarios.len(),
-        doc.backends.len(),
-        doc.seed,
-        doc.fuzz
+        m.scenarios.len(),
+        m.backends.len(),
+        m.seed,
+        m.fuzz
     );
-    if doc.weaken != "none" {
+    if m.weaken != "none" {
         out.push_str(&format!(
             "WARNING: protection weakened ({}) — self-test run, NOT a baseline\n",
-            doc.weaken
+            m.weaken
         ));
     }
-    let code_of = |scenario: &str, backend: &str| {
-        doc.cells
-            .iter()
-            .find(|c| c.scenario == scenario && c.backend == backend)
-            .map(|c| {
-                workloads::exploit::ExploitOutcome::from_label(&c.verdict)
-                    .map(|o| o.code().to_string())
-                    .unwrap_or_else(|| "?".into())
-            })
-            .unwrap_or_else(|| "-".into())
+    let cell = |scenario: &str, backend: &str| {
+        m.cells.iter().find(|c| c.scenario == scenario && c.backend == backend)
     };
-    let mut rows = Vec::with_capacity(doc.scenarios.len() + 1);
+    let mut rows = Vec::with_capacity(m.scenarios.len() + 1);
     let mut header = vec!["scenario".to_string()];
-    header.extend(doc.backends.iter().cloned());
+    header.extend(m.backends.iter().cloned());
     header.push("window".into());
     header.push("ms defence".into());
     rows.push(header);
-    for sc in &doc.scenarios {
+    for (sc, _) in &m.scenarios {
         let mut row = vec![sc.clone()];
-        for b in &doc.backends {
-            row.push(code_of(sc, b));
+        for b in &m.backends {
+            row.push(cell(sc, b).map_or_else(|| "-".into(), |c| c.outcome.code().to_string()));
         }
         // Attack-window latency on the unprotected baseline column: how
         // many frees an attacker needs before the victim slot recycles.
-        let window = doc
-            .cells
-            .iter()
-            .find(|c| c.scenario == *sc && c.backend == "baseline")
-            .and_then(|c| c.window)
-            .map_or_else(|| "-".into(), |w| w.to_string());
-        row.push(window);
+        let window = cell(sc, "baseline").and_then(|c| c.attack_window);
+        row.push(window.map_or_else(|| "-".into(), |w| w.to_string()));
         // What the verdict cost: minesweeper's defence cycles for this
         // scenario, the price of the protection next to its outcome.
-        let defence = doc
-            .cells
-            .iter()
-            .find(|c| c.scenario == *sc && c.backend == "minesweeper")
-            .map_or_else(|| "-".into(), |c| c.defence_cycles.to_string());
-        row.push(defence);
+        let defence = cell(sc, "minesweeper");
+        row.push(defence.map_or_else(|| "-".into(), |c| c.defence.total.to_string()));
         rows.push(row);
     }
     out.push_str(&table(&rows));
     out.push_str("verdicts: C=compromised T=clean-termination B=benign D=detected\n");
 
     let mut verdictcount = [0u64; 4];
-    let mut ms_compromised = 0u64;
-    let mut defence_total = 0u64;
-    for c in &doc.cells {
-        let o = workloads::exploit::ExploitOutcome::from_label(&c.verdict)
-            .expect("parse_security validated labels");
-        verdictcount[o.rank() as usize] += 1;
-        if c.backend == "minesweeper"
-            && o == workloads::exploit::ExploitOutcome::Compromised
-        {
-            ms_compromised += 1;
-        }
-        defence_total += c.defence_cycles;
+    for c in &m.cells {
+        verdictcount[c.outcome.rank() as usize] += 1;
     }
     out.push_str(&format!(
         "totals: {} compromised, {} clean-termination, {} benign, {} detected\n",
         verdictcount[0], verdictcount[1], verdictcount[2], verdictcount[3]
     ));
+    let ms_compromised =
+        m.column("minesweeper").filter(|c| c.outcome == ExploitOutcome::Compromised).count();
     out.push_str(&format!("minesweeper compromised cells: {ms_compromised}\n"));
-    if doc.schema >= 2 {
-        out.push_str(&format!(
-            "defence cycles: {defence_total} across all cells\n"
-        ));
+    if m.schema >= 2 {
+        let defence_total: u64 = m.cells.iter().map(|c| c.defence.total).sum();
+        out.push_str(&format!("defence cycles: {defence_total} across all cells\n"));
     }
-
-    if check {
-        let counter = |key: &str| {
-            doc.counters.iter().find(|(k, _)| k == key).map_or(0, |(_, v)| *v)
-        };
-        let mut mismatches = Vec::new();
-        let mut expect = |key: &str, want: u64| {
-            let got = counter(key);
-            if got != want {
-                mismatches.push(format!("{key}: counter {got} != cells {want}"));
-            }
-        };
-        expect("security/cells", doc.cells.len() as u64);
-        expect("security/verdict_compromised", verdictcount[0]);
-        expect("security/verdict_clean_termination", verdictcount[1]);
-        expect("security/verdict_benign", verdictcount[2]);
-        expect("security/verdict_detected", verdictcount[3]);
-        for sc in &doc.scenarios {
-            let want = doc
-                .cells
-                .iter()
-                .filter(|c| c.scenario == *sc && c.verdict == "compromised")
-                .count() as u64;
-            expect(&format!("security/s_{}_compromised", sc.replace('-', "_")), want);
-        }
-        // Schema 2: the exporter's defence_cycles counter is the sum of
-        // every cell's total, and each cell's per-kind breakdown must
-        // itself sum to that cell's total.
-        expect("security/defence_cycles", defence_total);
-        for c in &doc.cells {
-            let kind_sum: u64 = c.defence_kinds.iter().map(|(_, v)| v).sum();
-            if kind_sum != c.defence_cycles {
-                mismatches.push(format!(
-                    "{}/{}: defence kinds sum to {kind_sum}, defence_cycles is {}",
-                    c.scenario, c.backend, c.defence_cycles
-                ));
-            }
-        }
-        if !mismatches.is_empty() {
-            return Err(CliError(format!(
-                "security counter reconciliation failed:\n  {}",
-                mismatches.join("\n  ")
-            )));
-        }
-        out.push_str("check: counters reconcile with cells\n");
-    }
-    Ok(out)
+    out
 }
 
 /// Diffs a fresh security matrix against the committed baseline
-/// (`ms-report --security NEW --baseline OLD --check`). Returns the
-/// report and whether the gate should fail.
+/// (`ms-report --security NEW --baseline OLD`). Returns the report and
+/// whether the gate should fail.
 ///
 /// The gate fails when (a) a baseline cell is missing from the new
 /// matrix, (b) any cell's verdict regresses to a strictly worse rank
@@ -1172,13 +930,7 @@ pub fn render_security(text: &str, check: bool) -> Result<String, CliError> {
 /// minesweeper cell in the new matrix is Compromised, even for cells the
 /// baseline never covered. New-only cells are otherwise informational,
 /// so growing the corpus never needs a baseline refresh to merge.
-///
-/// # Errors
-///
-/// [`CliError`] when either document is malformed.
-pub fn gate_security(baseline_text: &str, new_text: &str) -> Result<(String, bool), CliError> {
-    let old = parse_security(baseline_text)?;
-    let new = parse_security(new_text)?;
+pub fn gate_security(old: &SecurityMatrix, new: &SecurityMatrix) -> (String, bool) {
     let mut out = String::new();
     let mut failures = Vec::new();
     if old.weaken != "none" {
@@ -1190,22 +942,21 @@ pub fn gate_security(baseline_text: &str, new_text: &str) -> Result<(String, boo
             new.weaken
         ));
     }
-    let find = |doc: &SecDoc, s: &str, b: &str| -> Option<String> {
-        doc.cells
-            .iter()
-            .find(|c| c.scenario == s && c.backend == b)
-            .map(|c| c.verdict.clone())
+    let find = |m: &SecurityMatrix, s: &str, b: &str| {
+        m.cells.iter().find(|c| c.scenario == s && c.backend == b).map(|c| c.outcome)
     };
     let mut compared = 0u64;
     for c in &old.cells {
-        let (s, b, old_verdict) = (&c.scenario, &c.backend, &c.verdict);
-        match find(&new, s, b) {
+        let (s, b, was) = (&c.scenario, &c.backend, c.outcome);
+        match find(new, s, b) {
             None => failures.push(format!("{s}/{b}: cell missing from new matrix")),
-            Some(new_verdict) => {
+            Some(now) => {
                 compared += 1;
-                if verdict_rank(&new_verdict) < verdict_rank(old_verdict) {
+                if now.rank() < was.rank() {
                     failures.push(format!(
-                        "{s}/{b}: verdict regressed {old_verdict} -> {new_verdict}"
+                        "{s}/{b}: verdict regressed {} -> {}",
+                        was.label(),
+                        now.label()
                     ));
                 }
             }
@@ -1213,12 +964,15 @@ pub fn gate_security(baseline_text: &str, new_text: &str) -> Result<(String, boo
     }
     let mut new_only = 0u64;
     for c in &new.cells {
-        let (s, b, verdict) = (&c.scenario, &c.backend, &c.verdict);
-        if find(&old, s, b).is_none() {
+        let (s, b) = (&c.scenario, &c.backend);
+        if find(old, s, b).is_none() {
             new_only += 1;
-            out.push_str(&format!("new cell (not in baseline): {s}/{b} = {verdict}\n"));
+            out.push_str(&format!(
+                "new cell (not in baseline): {s}/{b} = {}\n",
+                c.outcome.label()
+            ));
         }
-        if b == "minesweeper" && verdict == "compromised" {
+        if b == "minesweeper" && c.outcome == ExploitOutcome::Compromised {
             failures.push(format!("{s}/minesweeper: COMPROMISED (hard floor)"));
         }
     }
@@ -1227,16 +981,15 @@ pub fn gate_security(baseline_text: &str, new_text: &str) -> Result<(String, boo
     ));
     if failures.is_empty() {
         out.push_str("security gate: PASS — no verdict regressions\n");
-        Ok((out, false))
-    } else {
-        failures.sort();
-        failures.dedup();
-        out.push_str("security gate: FAIL\n");
-        for f in &failures {
-            out.push_str(&format!("  {f}\n"));
-        }
-        Ok((out, true))
+        return (out, false);
     }
+    failures.sort();
+    failures.dedup();
+    out.push_str("security gate: FAIL\n");
+    for f in &failures {
+        out.push_str(&format!("  {f}\n"));
+    }
+    (out, true)
 }
 
 /// Renders the `ms-report --costs` defence-cost attribution report from a
@@ -1245,24 +998,13 @@ pub fn gate_security(baseline_text: &str, new_text: &str) -> Result<(String, boo
 /// per-sweep cost distribution. When a forensics trace is supplied, the
 /// site table is joined against the bytes each site's failed frees pin in
 /// quarantine — sites that are both expensive to defend and pin memory
-/// are the tuning targets. With `check`, the ledger's conservation
-/// invariants must hold: each kind's counter equals its histogram sum and
-/// the kind/site/arena dimensions each sum to the total. A violation
-/// names the leaking kind or dimension and gates (the second tuple field
-/// is `false`, so `ms-report` exits 2).
+/// are the tuning targets.
 ///
 /// # Errors
 ///
-/// [`CliError`] on malformed metrics, a snapshot without a cost ledger,
-/// or a malformed trace.
-pub fn render_costs(
-    metrics_text: &str,
-    trace_text: Option<&str>,
-    check: bool,
-) -> Result<(String, bool), CliError> {
-    let snap = Snapshot::from_json(metrics_text)
-        .map_err(|e| CliError(format!("bad metrics: {e}")))?;
-    let ledger = sim::CostLedger::from_snapshot(&snap).ok_or_else(|| {
+/// [`CliError`] on a snapshot without a cost ledger.
+pub fn render_costs(snap: &Snapshot, trace: Option<&RunReport>) -> Result<String, CliError> {
+    let ledger = sim::CostLedger::from_snapshot(snap).ok_or_else(|| {
         CliError(
             "metrics carry no cost ledger (cost/total_cycles missing — produced by \
              a baseline, or with the ledger off?)"
@@ -1296,11 +1038,9 @@ pub fn render_costs(
     out.push_str(&table(&rows));
 
     // Optional forensics join: pinned bytes per site from the trace.
-    let pinned_by_site: Vec<(String, u64)> = match trace_text {
+    let pinned_by_site: Vec<(String, u64)> = match trace {
         None => Vec::new(),
-        Some(text) => {
-            let report = RunReport::from_jsonl(text)
-                .map_err(|e| CliError(format!("bad trace: {e}")))?;
+        Some(report) => {
             let mut agg: Vec<(String, u64)> = Vec::new();
             for a in report.pinned_now() {
                 let key = a.site.to_string();
@@ -1312,7 +1052,7 @@ pub fn render_costs(
             agg
         }
     };
-    let joined = trace_text.is_some();
+    let joined = trace.is_some();
     const TOP_SITES: usize = 10;
     out.push('\n');
     let mut header = vec!["site".to_string(), "cycles".into(), "share".into()];
@@ -1360,26 +1100,8 @@ pub fn render_costs(
             out.push_str(&pause_table(h, "cycles"));
         }
     }
-
-    if check {
-        let leaks = ledger.reconcile();
-        if !leaks.is_empty() {
-            out.push_str("\ncost reconciliation FAILED:\n");
-            for l in &leaks {
-                out.push_str(&format!("  {l}\n"));
-            }
-            return Ok((out, false));
-        }
-        out.push_str(
-            "\nreconcile: kind/site/arena dimensions each sum to total_cycles\n",
-        );
-    }
-    Ok((out, true))
+    Ok(out)
 }
-
-/// Schema of `BENCH_trajectory.jsonl` lines this renderer understands
-/// (written by `sweep_bandwidth --trajectory`).
-const TRAJECTORY_SCHEMA: u64 = 1;
 
 /// Renders the `ms-report --trajectory` per-config trend table from an
 /// append-only `BENCH_trajectory.jsonl` history: one row per bench
@@ -1393,6 +1115,7 @@ const TRAJECTORY_SCHEMA: u64 = 1;
 /// [`CliError`] on an empty history, a malformed line (named by number),
 /// or an unsupported line schema.
 pub fn render_trajectory(text: &str) -> Result<String, CliError> {
+    use telemetry::compare::TRAJECTORY_SCHEMA;
     use telemetry::json::Json;
     /// One config sample in file order: (git_rev, best_us, degraded).
     type Sample = (String, f64, bool);
@@ -1673,8 +1396,11 @@ mod tests {
         let json = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         // The written document round-trips through the reporting path.
-        let rendered = render_security(&json, true).unwrap();
-        assert!(rendered.contains("check: counters reconcile with cells"));
+        let matrix = SecurityMatrix::from_json(&json).unwrap();
+        assert!(render_security(&matrix).contains("security matrix:"));
+        let (checked, held) = check(None, None, Some(&matrix)).unwrap();
+        assert!(held, "{checked}");
+        assert!(checked.contains("check: counters reconcile with cells"));
         // Unknown weaken knobs are a CLI error, not a panic.
         let bad = execute(&Command::Exploit {
             system: "minesweeper".into(),
@@ -1689,48 +1415,52 @@ mod tests {
 
     #[test]
     fn security_gate_passes_and_fails() {
-        let base = sim::run_corpus(42, 1, sim::Weaken::None).to_json();
+        let base = sim::run_corpus(42, 1, sim::Weaken::None);
         // Identical run: pass.
-        let (report, fail) = gate_security(&base, &base).unwrap();
+        let (report, fail) = gate_security(&base, &base);
         assert!(!fail, "{report}");
         assert!(report.contains("PASS"));
         // Weakened run flips minesweeper cells: fail, named by scenario.
-        let weakened = sim::run_corpus(42, 1, sim::Weaken::QuarantineOff).to_json();
-        let (report, fail) = gate_security(&base, &weakened).unwrap();
+        let weakened = sim::run_corpus(42, 1, sim::Weaken::QuarantineOff);
+        let (report, fail) = gate_security(&base, &weakened);
         assert!(fail, "{report}");
         assert!(report.contains("FAIL"));
         assert!(report.contains("minesweeper"));
         assert!(report.contains("hard floor"));
         assert!(report.contains("regressed"));
         // A weakened document can never serve as the baseline.
-        let (_, fail) = gate_security(&weakened, &weakened).unwrap();
+        let (_, fail) = gate_security(&weakened, &weakened);
         assert!(fail);
         // Shrinking the corpus (missing baseline cells) also fails.
-        let small = sim::run_corpus(42, 0, sim::Weaken::None).to_json();
-        let (report, fail) = gate_security(&base, &small).unwrap();
+        let small = sim::run_corpus(42, 0, sim::Weaken::None);
+        let (report, fail) = gate_security(&base, &small);
         assert!(fail);
         assert!(report.contains("missing"));
         // Growing it does not: new-only cells are informational.
-        let grown = sim::run_corpus(42, 2, sim::Weaken::None).to_json();
-        let (report, fail) = gate_security(&base, &grown).unwrap();
+        let grown = sim::run_corpus(42, 2, sim::Weaken::None);
+        let (report, fail) = gate_security(&base, &grown);
         assert!(!fail, "{report}");
         assert!(report.contains("new cell"));
-        // Garbage input is an error, not a pass.
-        assert!(gate_security("junk", &base).is_err());
-        assert!(gate_security(&base, "junk").is_err());
+        // Garbage input is an error, not a pass: the gate only ever sees
+        // documents the one reader accepted.
+        assert!(SecurityMatrix::from_json("junk").is_err());
     }
 
     #[test]
     fn render_security_check_catches_counter_drift() {
         let good = sim::run_corpus(1, 0, sim::Weaken::None).to_json();
-        assert!(render_security(&good, true).is_ok());
+        let good_matrix = SecurityMatrix::from_json(&good).unwrap();
+        assert!(check(None, None, Some(&good_matrix)).unwrap().1);
         // Corrupt one verdict counter; --check must notice.
         let bad = good.replacen("\"security/verdict_benign\": ", "\"security/verdict_benign\": 9", 1);
         assert!(bad != good, "fixture must actually change");
-        let err = render_security(&bad, true).unwrap_err();
-        assert!(err.0.contains("reconciliation"), "{err}");
-        // Without --check the drift is not fatal.
-        assert!(render_security(&bad, false).is_ok());
+        let bad = SecurityMatrix::from_json(&bad).unwrap();
+        let (out, held) = check(None, None, Some(&bad)).unwrap();
+        assert!(!held, "{out}");
+        assert!(out.contains("reconciliation"), "{out}");
+        assert!(out.contains("security/verdict_benign"), "{out}");
+        // Without --check the drift is not fatal: the matrix still renders.
+        assert!(render_security(&bad).contains("security matrix:"));
     }
 
     #[test]
@@ -1813,39 +1543,43 @@ mod tests {
 
     #[test]
     fn run_trace_and_report_roundtrip() {
-        let trace = std::env::temp_dir().join("ms_cli_report_test.jsonl");
-        let metrics = std::env::temp_dir().join("ms_cli_report_test.json");
+        let trace_path = std::env::temp_dir().join("ms_cli_report_test.jsonl");
+        let metrics_path = std::env::temp_dir().join("ms_cli_report_test.json");
         execute(&Command::Run {
             benchmark: "demo".into(),
             system: "ms".into(),
             seed: 5,
-            trace_out: Some(trace.to_string_lossy().into_owned()),
-            metrics_out: Some(metrics.to_string_lossy().into_owned()),
+            trace_out: Some(trace_path.to_string_lossy().into_owned()),
+            metrics_out: Some(metrics_path.to_string_lossy().into_owned()),
             forensics: None,
             arenas: None,
             cost_drop: None,
         })
         .unwrap();
-        let trace_text = std::fs::read_to_string(&trace).unwrap();
-        let metrics_text = std::fs::read_to_string(&metrics).unwrap();
+        let trace_text = std::fs::read_to_string(&trace_path).unwrap();
+        let metrics_text = std::fs::read_to_string(&metrics_path).unwrap();
         assert!(trace_text.lines().any(|l| l.contains("\"sweep_start\"")));
         // The reconciliation check is the acceptance gate: JSONL totals
         // must match the exported counters exactly.
-        let check = ReportOpts { check: true, ..ReportOpts::default() };
-        let report = render_report_with(&trace_text, Some(&metrics_text), &check).unwrap();
-        assert!(report.contains("reconcile: trace totals match"), "{report}");
+        let trace = parse_trace(&trace_text).unwrap();
+        let snap = parse_metrics(&metrics_text).unwrap();
+        let report = render_report_with(&trace, Some(&snap), &ReportOpts::default());
         assert!(report.contains("proportional"), "{report}");
-        assert!(render_report_with(&trace_text, None, &check).is_err());
+        let (checked, held) = check(Some(&trace), Some(&snap), None).unwrap();
+        assert!(held, "{checked}");
+        assert!(checked.contains("reconcile: trace totals match"), "{checked}");
+        // A trace alone has nothing to reconcile against: bad input.
+        assert!(check(Some(&trace), None, None).is_err());
 
         // A torn final line (truncated mid-write) is a clear error, not a
         // panic, and names the offending line.
         let torn = &trace_text[..trace_text.len() - trace_text.len() / 10];
         assert!(!torn.ends_with('\n'), "truncation must tear the last line");
-        let err = render_report_with(torn, None, &ReportOpts::default()).unwrap_err();
+        let err = parse_trace(torn).unwrap_err();
+        std::fs::remove_file(&trace_path).ok();
+        std::fs::remove_file(&metrics_path).ok();
         assert!(err.0.contains("bad trace"), "{err}");
         assert!(err.0.contains("torn final line"), "{err}");
-        std::fs::remove_file(trace).ok();
-        std::fs::remove_file(metrics).ok();
     }
 
     #[test]
@@ -1916,10 +1650,14 @@ mod tests {
         let trace_text = std::fs::read_to_string(&trace).unwrap();
         let metrics_text = std::fs::read_to_string(&metrics).unwrap();
         assert!(trace_text.lines().any(|l| l.contains("\"ledger_entries\"")));
-        let opts = ReportOpts { check: true, pinners: true, failed_frees: true };
-        let out = render_report_with(&trace_text, Some(&metrics_text), &opts).unwrap();
+        let opts = ReportOpts { pinners: true, failed_frees: true };
+        let report = parse_trace(&trace_text).unwrap();
+        let snap = parse_metrics(&metrics_text).unwrap();
+        let out = render_report_with(&report, Some(&snap), &opts);
         assert!(out.contains("pinned sites"), "{out}");
-        assert!(out.contains("reconcile: trace totals match"), "{out}");
+        let (checked, held) = check(Some(&report), Some(&snap), None).unwrap();
+        assert!(held, "{checked}");
+        assert!(checked.contains("reconcile: trace totals match"), "{checked}");
 
         // Without forensics in the trace, the views degrade gracefully.
         let plain = execute(&Command::Run {
@@ -1933,22 +1671,18 @@ mod tests {
             cost_drop: None,
         });
         plain.unwrap();
-        let plain_text = std::fs::read_to_string(&trace).unwrap();
-        let out = render_report_with(&plain_text, None, &opts_no_check()).unwrap();
+        let plain = parse_trace(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let out = render_report_with(&plain, None, &opts);
         assert!(out.contains("no forensics data"), "{out}");
         std::fs::remove_file(trace).ok();
         std::fs::remove_file(metrics).ok();
-    }
-
-    fn opts_no_check() -> ReportOpts {
-        ReportOpts { check: false, pinners: true, failed_frees: true }
     }
 
     #[test]
     fn slo_renderer_flags_breaches_and_rejects_empty_specs() {
         let reg = telemetry::Registry::new();
         reg.histogram("engine", "stw_cycles").record(5000);
-        let metrics = reg.snapshot().to_json();
+        let metrics = reg.snapshot();
 
         let (table, breached) = render_slo(&metrics, "stw=100").unwrap();
         assert!(breached);
@@ -1960,7 +1694,7 @@ mod tests {
 
         assert!(render_slo(&metrics, "").is_err(), "empty spec would vacuously pass");
         assert!(render_slo(&metrics, "bogus=1").is_err());
-        assert!(render_slo("not json", "stw=1").is_err());
+        assert!(parse_metrics("not json").is_err());
     }
 
     /// Bench-shaped metrics JSON: one config with the given rep times.
@@ -2074,12 +1808,16 @@ mod tests {
 
         // The snapshot round-trips through the metrics-only ms-report path
         // and its two accounting paths reconcile.
-        let metrics_text = std::fs::read_to_string(&metrics).unwrap();
-        let report = render_metrics_report(&metrics_text, true).unwrap();
+        let snap = parse_metrics(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        assert!(render_metrics_report(&snap).unwrap().contains("scheduler:"));
+        let (checked, held) = check(None, Some(&snap), None).unwrap();
+        assert!(held, "{checked}");
         assert!(
-            report.contains("reconcile: arena shard counters match global totals"),
-            "{report}"
+            checked.contains("reconcile: arena shard counters match global totals"),
+            "{checked}"
         );
+        // The pooled run's cost ledger reconciles in the same pass.
+        assert!(checked.contains("reconcile: kind/site/arena"), "{checked}");
         std::fs::remove_file(metrics).ok();
     }
 
@@ -2088,7 +1826,7 @@ mod tests {
         // A single-arena engine snapshot has no arena counters.
         let reg = telemetry::Registry::new();
         reg.counter("layer", "sweeps").inc();
-        let err = render_metrics_report(&reg.snapshot().to_json(), false).unwrap_err();
+        let err = render_metrics_report(&reg.snapshot()).unwrap_err();
         assert!(err.0.contains("no arena shard counters"), "{err}");
 
         // A shard counter that lost an update fails --check by name.
@@ -2097,13 +1835,14 @@ mod tests {
         reg.counter("arena", "a0_sweeps").add(3);
         reg.counter("arena", "a1_sweeps").add(1);
         reg.counter("arena", "total_sweeps").add(5);
-        let text = reg.snapshot().to_json();
-        assert!(render_metrics_report(&text, false).is_ok(), "table renders anyway");
-        let err = render_metrics_report(&text, true).unwrap_err();
-        assert!(err.0.contains("sweeps sums to 4"), "{err}");
-        assert!(err.0.contains("counted 5"), "{err}");
+        let snap = reg.snapshot();
+        assert!(render_metrics_report(&snap).is_ok(), "table renders anyway");
+        let (out, held) = check(None, Some(&snap), None).unwrap();
+        assert!(!held, "{out}");
+        assert!(out.contains("sweeps sums to 4"), "{out}");
+        assert!(out.contains("counted 5"), "{out}");
 
-        assert!(render_metrics_report("not json", false).is_err());
+        assert!(parse_metrics("not json").is_err());
     }
 
     #[test]
@@ -2158,24 +1897,25 @@ mod tests {
             std::fs::read_to_string(&path).unwrap()
         };
         // Clean run: tables render and every dimension reconciles.
-        let clean = run(None);
-        let (out, ok) = render_costs(&clean, None, true).unwrap();
-        assert!(ok, "{out}");
+        let clean = parse_metrics(&run(None)).unwrap();
+        let out = render_costs(&clean, None).unwrap();
         assert!(out.contains("defence cost ledger:"), "{out}");
         assert!(out.contains("zeroing"), "{out}");
-        assert!(out.contains("reconcile: kind/site/arena"), "{out}");
+        let (checked, held) = check(None, Some(&clean), None).unwrap();
+        assert!(held, "{checked}");
+        assert!(checked.contains("reconcile: kind/site/arena"), "{checked}");
         // Injected leak: the gate fails (ms-report exit 2) naming the kind.
-        let leaky = run(Some("zeroing"));
-        let (out, ok) = render_costs(&leaky, None, true).unwrap();
-        assert!(!ok, "{out}");
+        let leaky = parse_metrics(&run(Some("zeroing"))).unwrap();
+        let (out, held) = check(None, Some(&leaky), None).unwrap();
+        assert!(!held, "{out}");
         assert!(out.contains("FAILED"), "{out}");
         assert!(out.contains("zeroing"), "{out}");
-        // Without --check the leaky report still renders and passes.
-        assert!(render_costs(&leaky, None, false).unwrap().1);
+        // Without --check the leaky report still renders.
+        assert!(render_costs(&leaky, None).is_ok());
         // A snapshot without the ledger is a clear input error.
         let reg = telemetry::Registry::new();
         reg.counter("layer", "sweeps").inc();
-        let err = render_costs(&reg.snapshot().to_json(), None, false).unwrap_err();
+        let err = render_costs(&reg.snapshot(), None).unwrap_err();
         assert!(err.0.contains("no cost ledger"), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -2195,14 +1935,13 @@ mod tests {
             cost_drop: None,
         })
         .unwrap();
-        let (out, ok) = render_costs(
-            &std::fs::read_to_string(&metrics).unwrap(),
-            Some(&std::fs::read_to_string(&trace).unwrap()),
-            true,
-        )
-        .unwrap();
-        assert!(ok, "{out}");
+        let snap = parse_metrics(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let report = parse_trace(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let out = render_costs(&snap, Some(&report)).unwrap();
         assert!(out.contains("pinned bytes"), "{out}");
+        // The joined trace and the ledger both reconcile in one pass.
+        let (checked, held) = check(Some(&report), Some(&snap), None).unwrap();
+        assert!(held, "{checked}");
         std::fs::remove_file(trace).ok();
         std::fs::remove_file(metrics).ok();
     }
@@ -2224,28 +1963,115 @@ mod tests {
 }"#;
         // Pre-ledger documents still render and reconcile; their cells
         // parse with zero defence cost and no totals line is shown.
-        let out = render_security(doc, true).unwrap();
-        assert!(out.contains("check: counters reconcile"), "{out}");
+        let matrix = SecurityMatrix::from_json(doc).unwrap();
+        assert_eq!(matrix.schema, 1);
+        assert!(matrix.cells.iter().all(|c| c.defence == sim::DefenceCost::default()));
+        let (checked, held) = check(None, None, Some(&matrix)).unwrap();
+        assert!(held, "{checked}");
+        assert!(checked.contains("check: counters reconcile"), "{checked}");
+        let out = render_security(&matrix);
         assert!(!out.contains("defence cycles:"), "{out}");
         // Above the supported range stays rejected.
         let future = doc.replacen("\"schema\": 1", "\"schema\": 99", 1);
-        let err = render_security(&future, false).unwrap_err();
-        assert!(err.0.contains("unsupported security matrix schema"), "{err}");
+        let err = SecurityMatrix::from_json(&future).unwrap_err();
+        assert!(err.contains("unsupported security matrix schema"), "{err}");
     }
 
     #[test]
     fn security_defence_costs_render_and_reconcile() {
-        let good = sim::run_corpus(1, 0, sim::Weaken::None).to_json();
-        let out = render_security(&good, true).unwrap();
+        let good = sim::run_corpus(1, 0, sim::Weaken::None);
+        let out = render_security(&good);
         assert!(out.contains("ms defence"), "{out}");
         assert!(out.contains("defence cycles:"), "{out}");
+        assert!(check(None, None, Some(&good)).unwrap().1);
         // Corrupting one cell's total breaks both the exporter counter
         // and that cell's per-kind sum; --check catches it.
+        let good = good.to_json();
         let bad = good.replacen("\"defence_cycles\": ", "\"defence_cycles\": 9", 1);
         assert!(bad != good, "fixture must actually change");
-        let err = render_security(&bad, true).unwrap_err();
-        assert!(err.0.contains("defence"), "{err}");
-        assert!(render_security(&bad, false).is_ok());
+        let bad = SecurityMatrix::from_json(&bad).unwrap();
+        let (out, held) = check(None, None, Some(&bad)).unwrap();
+        assert!(!held, "{out}");
+        assert!(out.contains("defence"), "{out}");
+        assert!(out.contains("defence kinds sum to"), "{out}");
+        assert!(render_security(&bad).contains("ms defence"));
+    }
+
+    /// Adds one to the number right after `key` in a JSON document: a
+    /// counter that drifted by a single lost or doubled update.
+    fn bump(text: &str, key: &str) -> String {
+        let at = text.find(key).unwrap_or_else(|| panic!("{key} not in fixture")) + key.len();
+        let len = text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let n: u64 = text[at..at + len].parse().unwrap();
+        format!("{}{}{}", &text[..at], n + 1, &text[at + len..])
+    }
+
+    /// Runs the demo under minesweeper (optionally as `arenas` tenants)
+    /// and returns the trace text (single-arena runs only) and metrics.
+    fn demo_artifacts(tag: &str, arenas: Option<u32>) -> (Option<String>, String) {
+        let dir = std::env::temp_dir();
+        let trace = dir.join(format!("ms_cli_{tag}.jsonl")).to_string_lossy().into_owned();
+        let metrics = dir.join(format!("ms_cli_{tag}.json")).to_string_lossy().into_owned();
+        execute(&Command::Run {
+            benchmark: "demo".into(),
+            system: "ms".into(),
+            seed: 5,
+            trace_out: arenas.is_none().then(|| trace.clone()),
+            metrics_out: Some(metrics.clone()),
+            forensics: None,
+            arenas,
+            cost_drop: None,
+        })
+        .unwrap();
+        let trace_text = arenas.is_none().then(|| std::fs::read_to_string(&trace).unwrap());
+        let metrics_text = std::fs::read_to_string(&metrics).unwrap();
+        std::fs::remove_file(trace).ok();
+        std::fs::remove_file(metrics).ok();
+        (trace_text, metrics_text)
+    }
+
+    #[test]
+    fn check_gate_fails_on_tampered_trace_counters() {
+        let (trace, metrics) = demo_artifacts("tamper_trace", None);
+        let report = parse_trace(&trace.unwrap()).unwrap();
+        let tampered = bump(&metrics, "\"name\": \"released\", \"value\": ");
+        let (out, held) = check(Some(&report), Some(&parse_metrics(&tampered).unwrap()), None)
+            .unwrap();
+        assert!(!held, "a drifted layer counter must fail the gate:\n{out}");
+        assert!(out.contains("trace/metrics reconciliation FAILED"), "{out}");
+        assert!(out.contains("released: events say"), "{out}");
+        // The untouched ledger in the same snapshot still passes.
+        assert!(out.contains("reconcile: kind/site/arena"), "{out}");
+    }
+
+    #[test]
+    fn check_gate_fails_on_tampered_arena_shards() {
+        let (_, metrics) = demo_artifacts("tamper_arena", Some(4));
+        let tampered = bump(&metrics, "\"name\": \"total_sweeps\", \"value\": ");
+        let (out, held) = check(None, Some(&parse_metrics(&tampered).unwrap()), None).unwrap();
+        assert!(!held, "a drifted global total must fail the gate:\n{out}");
+        assert!(out.contains("arena shard reconciliation FAILED"), "{out}");
+        assert!(out.contains("arena/total_sweeps"), "{out}");
+    }
+
+    #[test]
+    fn check_gate_fails_on_tampered_security_counters() {
+        let good = sim::run_corpus(42, 1, sim::Weaken::None).to_json();
+        let tampered = SecurityMatrix::from_json(&bump(&good, "\"security/cells\": ")).unwrap();
+        let (out, held) = check(None, None, Some(&tampered)).unwrap();
+        assert!(!held, "a drifted security counter must fail the gate:\n{out}");
+        assert!(out.contains("security counter reconciliation FAILED"), "{out}");
+        assert!(out.contains("security/cells: counter"), "{out}");
+    }
+
+    #[test]
+    fn check_gate_fails_on_tampered_cost_ledger() {
+        let (_, metrics) = demo_artifacts("tamper_cost", None);
+        let tampered = bump(&metrics, "\"name\": \"kind_zeroing_cycles\", \"value\": ");
+        let (out, held) = check(None, Some(&parse_metrics(&tampered).unwrap()), None).unwrap();
+        assert!(!held, "a drifted cost kind must fail the gate:\n{out}");
+        assert!(out.contains("cost ledger reconciliation FAILED"), "{out}");
+        assert!(out.contains("kind zeroing:"), "{out}");
     }
 
     #[test]

@@ -43,10 +43,10 @@ pub use cost::CostModel;
 pub use engine::{Engine, ENGINE_SUBSYSTEM};
 pub use exploit::{
     run_cross_arena_pin, run_exploit, run_scenario, CrossArenaReport, DefenceCost,
-    ExploitReport, ScenarioRun, SecSystem, Weaken,
+    ScenarioRun, SecSystem, Weaken,
 };
 pub use metrics::{geomean, RunMetrics};
-pub use pool::{run_arenas, ARENA_SUBSYSTEM};
+pub use pool::{reconcile_arenas, run_arenas, ARENA_KEYS, ARENA_SUBSYSTEM};
 pub use security::{
     run_corpus, SecCell, SecurityMatrix, SECURITY_MIN_SCHEMA, SECURITY_SCHEMA,
     SECURITY_SUBSYSTEM,

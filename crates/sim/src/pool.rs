@@ -17,12 +17,12 @@
 //! * global totals (`arena/total_*`), accumulated *during the run* from
 //!   per-free deltas and per-round reports.
 //!
-//! `ms-report --check` reconciles the two — if sharding ever lost an
-//! update (a free attributed to the wrong shard, a round double-counted),
-//! the sums diverge.
+//! [`reconcile_arenas`] (run by `ms-report --check`) reconciles the two
+//! — if sharding ever lost an update (a free attributed to the wrong
+//! shard, a round double-counted), the sums diverge.
 
 use minesweeper::{ArenaPool, MsConfig};
-use telemetry::{CostKind, CostRecorder, Histogram, Registry};
+use telemetry::{CostKind, CostRecorder, Histogram, Registry, Snapshot};
 use vmem::{Addr, Segment};
 use workloads::{Op, Profile, TraceGen};
 
@@ -31,6 +31,31 @@ use crate::metrics::RunMetrics;
 
 /// Subsystem label for the shard counters and per-arena histograms.
 pub const ARENA_SUBSYSTEM: &str = "arena";
+
+/// The counter keys every arena shard exports (`arena/a{k}_<key>`) and the
+/// run re-accumulates globally (`arena/total_<key>`) — the reconciliation
+/// surface between the two paths.
+pub const ARENA_KEYS: [&str; 4] =
+    ["quarantined_bytes", "released_bytes", "failed_frees", "sweeps"];
+
+/// Reconciles a [`run_arenas`] snapshot's two views of the same work: for
+/// every [`ARENA_KEYS`] key, the per-shard counters must sum to the
+/// independently accumulated global total. Returns each mismatch, naming
+/// the key (empty = clean).
+pub fn reconcile_arenas(snap: &Snapshot) -> Vec<String> {
+    let n = snap.counter(ARENA_SUBSYSTEM, "arenas").unwrap_or(0);
+    let counter = |name: &str| snap.counter(ARENA_SUBSYSTEM, name).unwrap_or(0);
+    ARENA_KEYS
+        .iter()
+        .filter_map(|key| {
+            let sum: u64 = (0..n).map(|k| counter(&format!("a{k}_{key}"))).sum();
+            let total = counter(&format!("total_{key}"));
+            (sum != total).then(|| {
+                format!("shard {key} sums to {sum}, global arena/total_{key} counted {total}")
+            })
+        })
+        .collect()
+}
 
 /// Per-arena mutator state.
 struct Tenant {
@@ -318,20 +343,28 @@ mod tests {
         assert_eq!(snap.counter(ARENA_SUBSYSTEM, "arenas"), Some(4));
         // The reconcile invariant ms-report --check gates on: shard sums
         // must equal the independently accumulated globals.
-        for key in ["quarantined_bytes", "released_bytes", "failed_frees", "sweeps"] {
-            let shard_sum: u64 = (0..4)
-                .map(|k| {
-                    snap.counter(ARENA_SUBSYSTEM, &format!("a{k}_{key}")).unwrap_or(0)
-                })
-                .sum();
-            let total =
-                snap.counter(ARENA_SUBSYSTEM, &format!("total_{key}")).unwrap_or(0);
-            assert_eq!(shard_sum, total, "shard/global mismatch for {key}");
+        assert_eq!(reconcile_arenas(snap), Vec::<String>::new());
+        for key in ARENA_KEYS {
+            assert!(snap.counter(ARENA_SUBSYSTEM, &format!("total_{key}")).is_some(), "{key}");
         }
         assert_eq!(
             snap.counter(ARENA_SUBSYSTEM, "total_sweeps"),
             Some(m.sweeps),
             "headline sweeps come from the same totals"
+        );
+    }
+
+    #[test]
+    fn reconcile_names_a_lost_shard_update() {
+        let reg = Registry::new();
+        reg.counter(ARENA_SUBSYSTEM, "arenas").add(2);
+        reg.counter(ARENA_SUBSYSTEM, "a0_sweeps").add(3);
+        reg.counter(ARENA_SUBSYSTEM, "a1_sweeps").add(1);
+        reg.counter(ARENA_SUBSYSTEM, "total_sweeps").add(5);
+        let mismatches = reconcile_arenas(&reg.snapshot());
+        assert_eq!(
+            mismatches,
+            vec!["shard sweeps sums to 4, global arena/total_sweeps counted 5".to_string()]
         );
     }
 

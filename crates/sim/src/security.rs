@@ -32,7 +32,7 @@ pub struct SecCell {
     /// Scenario name (row).
     pub scenario: String,
     /// Backend label (column).
-    pub backend: &'static str,
+    pub backend: String,
     /// The verdict.
     pub outcome: ExploitOutcome,
     /// Whether the victim's address was handed out again after its free.
@@ -56,6 +56,9 @@ pub struct SecCell {
 /// The full matrix plus the run's provenance and telemetry.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SecurityMatrix {
+    /// Wire schema: [`SECURITY_SCHEMA`] for a fresh run, the declared one
+    /// for a document parsed by [`SecurityMatrix::from_json`].
+    pub schema: u32,
     /// Seed that drove the scenario fuzzer.
     pub seed: u64,
     /// Number of fuzzed scenarios appended to the named corpus.
@@ -63,15 +66,15 @@ pub struct SecurityMatrix {
     /// The weaken knob the run used (`"none"` for a real evaluation — a
     /// weakened run is permanently marked so it can never be mistaken for
     /// a baseline).
-    pub weaken: &'static str,
+    pub weaken: String,
     /// Backend column labels, in matrix order.
-    pub backends: Vec<&'static str>,
+    pub backends: Vec<String>,
     /// Scenario `(name, summary)` rows, in matrix order.
     pub scenarios: Vec<(String, String)>,
     /// Row-major cells (scenario-major, backend-minor).
     pub cells: Vec<SecCell>,
-    /// Sorted `security/*` counter snapshot, reconciled by
-    /// `ms-report --security --check`.
+    /// Sorted `security/*` counter snapshot, recounted from the cells by
+    /// [`SecurityMatrix::reconcile`].
     pub counters: Vec<(String, u64)>,
 }
 
@@ -134,7 +137,7 @@ pub fn run_corpus(seed: u64, fuzz: u32, weaken: Weaken) -> SecurityMatrix {
             }
             cells.push(SecCell {
                 scenario: sc.name.clone(),
-                backend: sys.label(),
+                backend: sys.label().to_string(),
                 outcome: run.outcome,
                 victim_reallocated: run.victim_reallocated,
                 attack_window: run.attack_window,
@@ -156,10 +159,11 @@ pub fn run_corpus(seed: u64, fuzz: u32, weaken: Weaken) -> SecurityMatrix {
     counters.sort();
 
     SecurityMatrix {
+        schema: SECURITY_SCHEMA,
         seed,
         fuzz,
-        weaken: weaken.label(),
-        backends: backends.iter().map(|s| s.label()).collect(),
+        weaken: weaken.label().to_string(),
+        backends: backends.iter().map(|s| s.label().to_string()).collect(),
         scenarios: scenarios.into_iter().map(|s| (s.name, s.summary)).collect(),
         cells,
         counters,
@@ -182,7 +186,7 @@ impl SecurityMatrix {
         let _ = writeln!(out, "  \"schema\": {SECURITY_SCHEMA},");
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"fuzz\": {},", self.fuzz);
-        let _ = writeln!(out, "  \"weaken\": \"{}\",", esc(self.weaken));
+        let _ = writeln!(out, "  \"weaken\": \"{}\",", esc(&self.weaken));
         let backends: Vec<String> =
             self.backends.iter().map(|b| format!("\"{}\"", esc(b))).collect();
         let _ = writeln!(out, "  \"backends\": [{}],", backends.join(", "));
@@ -222,7 +226,7 @@ impl SecurityMatrix {
                  \"allocs\": {}, \"frees\": {}, \"judged\": {}, \"detections\": {}, \
                  \"defence_cycles\": {}, \"defence_kinds\": {{{kinds}}}}}{comma}",
                 esc(&c.scenario),
-                esc(c.backend),
+                esc(&c.backend),
                 c.outcome.label(),
                 c.victim_reallocated,
                 c.allocs,
@@ -240,6 +244,150 @@ impl SecurityMatrix {
         }
         out.push_str("  }\n}\n");
         out
+    }
+
+    /// Parses a `SECURITY_matrix.json` document — the one reader of the
+    /// format [`SecurityMatrix::to_json`] writes. Accepts schemas
+    /// [`SECURITY_MIN_SCHEMA`]`..=`[`SECURITY_SCHEMA`]: schema-1 cells
+    /// predate the cost ledger and parse with an all-zero defence bill.
+    /// Absent tallies read as zero, an absent weaken knob as `"none"`.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first problem: malformed JSON, an unsupported
+    /// schema, a missing list or field, an unknown verdict or cost-kind
+    /// label.
+    pub fn from_json(text: &str) -> Result<SecurityMatrix, String> {
+        use telemetry::json::Json;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        let declared = doc.get("schema").and_then(Json::as_u64);
+        let schema = match declared.and_then(|s| u32::try_from(s).ok()) {
+            Some(s) if (SECURITY_MIN_SCHEMA..=SECURITY_SCHEMA).contains(&s) => s,
+            _ => {
+                return Err(format!(
+                    "unsupported security matrix schema {declared:?} \
+                     (want {SECURITY_MIN_SCHEMA}..={SECURITY_SCHEMA})"
+                ))
+            }
+        };
+        let list = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_array)
+                .ok_or_else(|| format!("security matrix missing {key}"))
+        };
+        let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let text_of = |v: &Json, key: &str| {
+            v.get(key)
+                .and_then(Json::as_str)
+                .map(String::from)
+                .ok_or_else(|| format!("security matrix entry missing {key}"))
+        };
+        let backends = list("backends")?
+            .iter()
+            .map(|b| b.as_str().map(String::from).ok_or("malformed backends entry"))
+            .collect::<Result<_, _>>()?;
+        let mut scenarios = Vec::new();
+        for sc in list("scenarios")? {
+            let summary = sc.get("summary").and_then(Json::as_str).unwrap_or_default();
+            scenarios.push((text_of(sc, "name")?, summary.to_string()));
+        }
+        let mut cells = Vec::new();
+        for c in list("cells")? {
+            let verdict = text_of(c, "verdict")?;
+            let outcome = ExploitOutcome::from_label(&verdict)
+                .ok_or_else(|| format!("unknown verdict label: {verdict}"))?;
+            let mut defence =
+                DefenceCost { total: num(c, "defence_cycles"), ..DefenceCost::default() };
+            if let Some(Json::Obj(kinds)) = c.get("defence_kinds") {
+                for (label, v) in kinds {
+                    let kind = CostKind::from_label(label)
+                        .ok_or_else(|| format!("unknown defence cost kind: {label}"))?;
+                    defence.kinds[kind.index()] =
+                        v.as_u64().ok_or_else(|| format!("bad defence kind {label}"))?;
+                }
+            }
+            cells.push(SecCell {
+                scenario: text_of(c, "scenario")?,
+                backend: text_of(c, "backend")?,
+                outcome,
+                victim_reallocated: matches!(c.get("victim_reallocated"), Some(Json::Bool(true))),
+                attack_window: c.get("attack_window").and_then(Json::as_u64),
+                allocs: num(c, "allocs"),
+                frees: num(c, "frees"),
+                judged: num(c, "judged"),
+                detections: num(c, "detections"),
+                defence,
+            });
+        }
+        let mut counters = Vec::new();
+        if let Some(Json::Obj(pairs)) = doc.get("counters") {
+            for (k, v) in pairs {
+                counters.push((k.clone(), v.as_u64().ok_or_else(|| format!("bad counter {k}"))?));
+            }
+        }
+        Ok(SecurityMatrix {
+            schema,
+            seed: num(&doc, "seed"),
+            fuzz: u32::try_from(num(&doc, "fuzz")).map_err(|_| "fuzz count out of range")?,
+            weaken: doc.get("weaken").and_then(Json::as_str).unwrap_or("none").to_string(),
+            backends,
+            scenarios,
+            cells,
+            counters,
+        })
+    }
+
+    /// Recounts every `security/*` counter from the cells and returns each
+    /// mismatch, named by counter (empty = clean); also checks that each
+    /// cell's per-kind defence bill sums to its `defence_cycles`. A
+    /// mismatch means the exporter and the matrix disagree about what ran.
+    ///
+    /// The recount is deliberately independent of the registry increments
+    /// in [`run_corpus`]: sharing one function would make the check a
+    /// tautology. Absent counters read as zero.
+    pub fn reconcile(&self) -> Vec<String> {
+        let mut mismatches = Vec::new();
+        let mut expect = |key: &str, want: u64| {
+            let got = self.counters.iter().find(|(k, _)| k == key).map_or(0, |(_, v)| *v);
+            if got != want {
+                mismatches.push(format!("{key}: counter {got} != cells {want}"));
+            }
+        };
+        let sum = |f: fn(&SecCell) -> u64| self.cells.iter().map(f).sum::<u64>();
+        expect("security/cells", self.cells.len() as u64);
+        expect("security/allocs", sum(|c| c.allocs));
+        expect("security/frees", sum(|c| c.frees));
+        expect("security/judged_accesses", sum(|c| c.judged));
+        expect("security/detections", sum(|c| c.detections));
+        expect("security/reuses", sum(|c| u64::from(c.victim_reallocated)));
+        expect("security/defence_cycles", sum(|c| c.defence.total));
+        for o in [
+            ExploitOutcome::Compromised,
+            ExploitOutcome::CleanTermination,
+            ExploitOutcome::Benign,
+            ExploitOutcome::Detected,
+        ] {
+            let want = self.cells.iter().filter(|c| c.outcome == o).count() as u64;
+            expect(&format!("security/verdict_{}", o.label().replace('-', "_")), want);
+        }
+        for (name, _) in &self.scenarios {
+            let want = self
+                .cells
+                .iter()
+                .filter(|c| c.scenario == *name && c.outcome == ExploitOutcome::Compromised)
+                .count() as u64;
+            expect(&format!("security/s_{}_compromised", name.replace('-', "_")), want);
+        }
+        for c in &self.cells {
+            let kind_sum: u64 = c.defence.kinds.iter().sum();
+            if kind_sum != c.defence.total {
+                mismatches.push(format!(
+                    "{}/{}: defence kinds sum to {kind_sum}, defence_cycles is {}",
+                    c.scenario, c.backend, c.defence.total
+                ));
+            }
+        }
+        mismatches
     }
 }
 
@@ -331,5 +479,46 @@ mod tests {
             m.cells.len()
         );
         assert_eq!(doc.get("weaken").unwrap().as_str(), Some("none"));
+    }
+
+    #[test]
+    fn from_json_round_trips_the_writer() {
+        let m = run_corpus(42, 3, Weaken::None);
+        let parsed = SecurityMatrix::from_json(&m.to_json()).expect("writer output parses");
+        assert_eq!(parsed, m, "the reader must recover exactly what the writer wrote");
+        assert_eq!(parsed.to_json(), m.to_json());
+        let weak = run_corpus(42, 0, Weaken::QuarantineOff);
+        assert_eq!(SecurityMatrix::from_json(&weak.to_json()), Ok(weak));
+    }
+
+    #[test]
+    fn from_json_rejects_unknown_labels_and_schemas() {
+        let good = run_corpus(1, 0, Weaken::None).to_json();
+        let bad_verdict = good.replacen("\"verdict\": \"benign\"", "\"verdict\": \"pwned\"", 1);
+        assert_ne!(bad_verdict, good, "fixture must actually change");
+        let err = SecurityMatrix::from_json(&bad_verdict).unwrap_err();
+        assert!(err.contains("unknown verdict label: pwned"), "{err}");
+        let bad_kind = good.replacen("\"zeroing\": ", "\"gilding\": ", 1);
+        assert_ne!(bad_kind, good, "fixture must actually change");
+        let err = SecurityMatrix::from_json(&bad_kind).unwrap_err();
+        assert!(err.contains("unknown defence cost kind: gilding"), "{err}");
+        let future = good.replacen("\"schema\": 2", "\"schema\": 99", 1);
+        let err = SecurityMatrix::from_json(&future).unwrap_err();
+        assert!(err.contains("unsupported security matrix schema"), "{err}");
+        assert!(SecurityMatrix::from_json("junk").is_err());
+    }
+
+    #[test]
+    fn reconcile_recounts_counters_from_cells() {
+        let mut m = run_corpus(42, 1, Weaken::None);
+        assert_eq!(m.reconcile(), Vec::<String>::new(), "a fresh run reconciles");
+        let benign = m.counters.iter_mut().find(|(k, _)| k == "security/verdict_benign").unwrap();
+        benign.1 += 1;
+        m.cells[0].defence.total += 1;
+        let mismatches = m.reconcile();
+        let named = |what: &str| mismatches.iter().any(|e| e.contains(what));
+        assert!(named("security/verdict_benign:"), "{mismatches:?}");
+        assert!(named("security/defence_cycles:"), "{mismatches:?}");
+        assert!(named("defence kinds sum to"), "{mismatches:?}");
     }
 }

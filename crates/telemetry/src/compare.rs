@@ -15,6 +15,10 @@ use crate::registry::Snapshot;
 /// Default regression threshold: 5% on the best-rep time.
 pub const DEFAULT_THRESHOLD_PCT: f64 = 5.0;
 
+/// Schema of `BENCH_trajectory.jsonl` lines: `sweep_bandwidth
+/// --trajectory` writes it and `ms-report --trajectory` accepts only it.
+pub const TRAJECTORY_SCHEMA: u64 = 1;
+
 /// One config's old-vs-new comparison.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ConfigDelta {

@@ -16,7 +16,7 @@
 //! Each of the three attribution dimensions therefore sums to the total
 //! independently, and each kind's counter must equal its histogram's sum.
 //! [`CostLedger::reconcile`] checks all of these and **names the kind (or
-//! dimension) that leaked**, which is what `ms-report --costs --check`
+//! dimension) that leaked**, which is what `ms-report --check`
 //! gates on. [`CostRecorder::set_drop`] deliberately skips one kind's
 //! counter (histogram and total still charged) so CI can prove the gate
 //! fires.

@@ -396,7 +396,10 @@ impl RunReport {
     /// Checks the timeline against a metrics [`Snapshot`] from the same
     /// run: event-derived totals must exactly equal the layer's counters.
     /// This is the cross-check that keeps the two telemetry planes
-    /// honest with each other.
+    /// honest with each other. Within the trace, every sweep's mark
+    /// accounting must also close: each plan byte was either read
+    /// word-by-word or skipped wholesale (`mark_words * 8 +
+    /// mark_skipped_bytes == mark_bytes`).
     ///
     /// # Errors
     ///
@@ -422,6 +425,14 @@ impl RunReport {
         check("tl_flushes", self.flushes);
         check("tl_flushed_entries", self.flushed_entries);
         check("pin_edges", self.total_pin_hits());
+        for r in &self.sweeps {
+            if r.mark_words * 8 + r.mark_skipped_bytes != r.mark_bytes {
+                mismatches.push(format!(
+                    "sweep {}: scanned {} words + skipped {} bytes != {} plan bytes",
+                    r.sweep, r.mark_words, r.mark_skipped_bytes, r.mark_bytes
+                ));
+            }
+        }
         // Forensics-specific invariants, only meaningful when the trace
         // carries ledger snapshots.
         if let Some(ledger) = self.last_ledger() {
@@ -979,6 +990,32 @@ mod tests {
         let reg3 = crate::registry::Registry::new();
         let err = RunReport::from_events(&sample_run()).reconcile(&reg3.snapshot()).unwrap_err();
         assert!(err.contains("filter_rejects"), "filter rejects reconcile too: {err}");
+    }
+
+    #[test]
+    fn reconcile_checks_per_sweep_mark_accounting() {
+        let mut report = RunReport::from_events(&sample_run());
+        let reg = crate::registry::Registry::new();
+        for (name, v) in [
+            ("sweeps", 2),
+            ("released", 38),
+            ("released_bytes", 3800),
+            ("failed_frees", 2),
+            ("swept_bytes", 4096 + 8192),
+            ("skipped_bytes", 4096),
+            ("stw_pages", 2),
+            ("filter_rejects", 4),
+            ("tl_flushes", 1),
+            ("tl_flushed_entries", 32),
+        ] {
+            reg.counter("layer", name).add(v);
+        }
+        report.reconcile(&reg.snapshot()).expect("totals must match");
+        // One word lost from sweep 2's scan: the totals still agree with
+        // the counters, but the plan bytes no longer close.
+        report.sweeps[1].mark_words -= 1;
+        let err = report.reconcile(&reg.snapshot()).unwrap_err();
+        assert_eq!(err, "sweep 2: scanned 511 words + skipped 4096 bytes != 8192 plan bytes");
     }
 
     #[test]

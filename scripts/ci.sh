@@ -42,6 +42,13 @@ ensure_off_metrics() {
         --metrics-out "$smoke_dir/off_metrics.json" > /dev/null
 }
 
+ensure_arena_metrics() {
+    [ -s "$smoke_dir/arena_metrics.json" ] && return 0
+    cargo run -q --release -p ms-cli --bin minesweeper-sim -- run demo \
+        --system ms --arenas 4 \
+        --metrics-out "$smoke_dir/arena_metrics.json" > /dev/null
+}
+
 ensure_security_matrix() {
     [ -s "$smoke_dir/SECURITY_matrix.json" ] && return 0
     cargo run -q --release -p ms-cli --bin minesweeper-sim -- \
@@ -95,9 +102,7 @@ stage_arena_smoke() {
     # render the per-arena table, and --check must reconcile the per-shard
     # counters (copied from each layer) exactly against the independently
     # accumulated arena/total_* globals — a lost update on either path fails.
-    cargo run -q --release -p ms-cli --bin minesweeper-sim -- run demo \
-        --system ms --arenas 4 \
-        --metrics-out "$smoke_dir/arena_metrics.json" > /dev/null
+    ensure_arena_metrics
     cargo run -q --release -p ms-cli --bin ms-report -- \
         --metrics "$smoke_dir/arena_metrics.json" --check \
         | grep -q "reconcile: arena shard counters match global totals" \
@@ -358,6 +363,48 @@ stage_costs() {
     [ "$rc" -eq 1 ] || { echo "bad costs input must exit 1 (got $rc)"; exit 1; }
 }
 
+# desc: one tampered counter per artifact fails --check (exit 2, named)
+stage_check_selftest() {
+    # Proves each invariant family of the one `ms-report --check` pass can
+    # fail: one counter bumped in a copy of each artifact must make --check
+    # exit exactly 2 (an invariant violation; 1 would mean bad input),
+    # name the drifted counter and print no usage text, while the
+    # untampered artifacts pass with exit 0.
+    ensure_demo_metrics
+    ensure_arena_metrics
+    ensure_security_matrix
+    local d="$smoke_dir"
+    sed -E 's/("subsystem": "layer", "name": "released", "value": )([0-9]+)/\11\2/' \
+        "$d/metrics.json" > "$d/tampered_metrics.json"
+    sed -E 's/("subsystem": "arena", "name": "total_sweeps", "value": )([0-9]+)/\11\2/' \
+        "$d/arena_metrics.json" > "$d/tampered_arena.json"
+    sed -E 's/("security\/cells": )([0-9]+)/\11\2/' \
+        "$d/SECURITY_matrix.json" > "$d/tampered_matrix.json"
+    # expect_check RC NAME ARGS...: `ms-report ARGS --check` exits RC and
+    # its output names NAME (skipped when empty).
+    expect_check() {
+        local want="$1" name="$2" rc=0
+        shift 2
+        cargo run -q --release -p ms-cli --bin ms-report -- "$@" --check \
+            > "$d/check.txt" 2>&1 || rc=$?
+        [ "$rc" -eq "$want" ] \
+            || { echo "ms-report $* --check: want exit $want, got $rc"; exit 1; }
+        [ -z "$name" ] || grep -q "$name" "$d/check.txt" \
+            || { echo "ms-report $* --check must name $name"; exit 1; }
+        if [ "$want" -eq 2 ] && grep -q "^USAGE:" "$d/check.txt"; then
+            echo "an invariant violation must not print usage text"; exit 1
+        fi
+    }
+    expect_check 2 "released: events say" "$d/run.jsonl" --metrics "$d/tampered_metrics.json"
+    expect_check 2 "arena/total_sweeps" --metrics "$d/tampered_arena.json"
+    expect_check 2 "security/cells" --security "$d/tampered_matrix.json"
+    expect_check 0 "" "$d/run.jsonl" --metrics "$d/metrics.json"
+    expect_check 0 "" --metrics "$d/arena_metrics.json"
+    expect_check 0 "" --security "$d/SECURITY_matrix.json"
+    # A check with nothing to check is bad input, not a pass.
+    expect_check 1 "nothing to check" "$d/run.jsonl"
+}
+
 # desc: clippy with warnings denied
 stage_clippy() {
     cargo clippy -p ms-telemetry --all-targets -- -D warnings
@@ -390,6 +437,7 @@ STAGES=(
     security
     security-selftest
     costs
+    check-selftest
     clippy
     docs
 )

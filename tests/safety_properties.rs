@@ -20,10 +20,12 @@ proptest! {
         mostly in any::<bool>(),
     ) {
         let steps = vec![
-            ExploitStep::AllocateVictim { size },
-            ExploitStep::BuggyFree,
-            ExploitStep::Spray { count: spray, payload },
-            ExploitStep::VirtualCall,
+            ExploitStep::Alloc { obj: 0, size },
+            ExploitStep::StoreRoot { slot: 0, obj: 0 },
+            ExploitStep::Free { obj: 0 },
+            ExploitStep::SprayEx { size, count: spray, payload },
+            ExploitStep::Housekeep,
+            ExploitStep::CallThrough { slot: 0 },
         ];
         let sys = if mostly {
             System::minesweeper_mostly()
