@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use jalloc::{JAlloc, JallocConfig};
 use minesweeper::ShadowMap;
-use vmem::{Addr, AddrSpace, PageIdx, PageRange, Segment, WORD_SIZE};
+use vmem::{Addr, AddrSpace, PageRange, Segment, WORD_SIZE};
 
 /// MarkUs configuration.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -226,11 +226,11 @@ impl MarkUs {
         let mut worklist: Vec<(Addr, u64)> = Vec::new();
 
         // Root scan: committed pages of globals and stack (page slices).
-        for seg in [Segment::Globals, Segment::Stack] {
-            let base = layout.segment_base(seg);
-            let first = base.page();
-            for i in 0..layout.segment_pages(seg) {
-                let page = PageIdx::new(first.raw() + i);
+        let roots = [Segment::Globals, Segment::Stack]
+            .into_iter()
+            .flat_map(|seg| space.committed_runs(layout.segment_range(seg)));
+        for run in roots {
+            for page in run.iter() {
                 let Ok(Some(words)) = space.scan_page(page) else { continue };
                 report.scanned_words += words.len() as u64;
                 for &value in words.iter() {

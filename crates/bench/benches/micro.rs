@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks for the core mechanisms: raw sweep bandwidth
-//! (serial vs parallel), shadow-map marking, allocator fast paths, the
-//! quarantine insert path, and end-to-end figure-scale runs on a demo
-//! profile. These measure the *reproduction's* real-machine performance;
-//! the paper-figure numbers come from the virtual cost model (see
-//! `fig*` binaries).
+//! (serial vs parallel), shadow-map marking, the vmem page table (root
+//! discovery and stores), allocator fast paths, the quarantine insert
+//! path, and end-to-end figure-scale runs on a demo profile. These measure
+//! the *reproduction's* real-machine performance; the paper-figure numbers
+//! come from the virtual cost model (see `fig*` binaries).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -14,7 +14,7 @@ use minesweeper::{
     ShadowMap, SweepPlan,
 };
 use sim::{run, System};
-use vmem::{Addr, AddrSpace, PAGE_SIZE};
+use vmem::{Addr, AddrSpace, PageRange, Segment, PAGE_SIZE};
 use workloads::Profile;
 
 /// A committed heap region littered with pointers, plus a plan over it.
@@ -89,6 +89,33 @@ fn bench_shadow(c: &mut Criterion) {
     group.finish();
 }
 
+/// The page-table walks every sweep start and every mutator store pays.
+fn bench_vmem(c: &mut Criterion) {
+    let mut group = c.benchmark_group("vmem");
+    // Roots as a small program has them: a few committed pages of .data
+    // and of stack, the rest of both segments mapped but untouched.
+    let mut space = AddrSpace::new();
+    let layout = *space.layout();
+    for (seg, pages) in [(Segment::Globals, 4), (Segment::Stack, 16)] {
+        space.commit(PageRange::new(layout.segment_range(seg).start(), pages)).unwrap();
+    }
+    group.bench_function("sweep_plan_build_default_layout", |b| {
+        b.iter(|| black_box(SweepPlan::build(&space, &[]).total_bytes()))
+    });
+    let base = space.reserve_heap(8);
+    space.map(base, 8).unwrap();
+    group.bench_function("vmem_write_word_1k", |b| {
+        b.iter(|| {
+            // 1000 stores spread over 8 heap pages.
+            for i in 0..1000u64 {
+                space.write_word(base + (i * 296) % (8 * PAGE_SIZE as u64), i).unwrap();
+            }
+            black_box(space.peek_word(base))
+        })
+    });
+    group.finish();
+}
+
 fn bench_alloc_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("allocator");
     group.bench_function("jalloc_malloc_free_64B", |b| {
@@ -132,5 +159,12 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sweep, bench_shadow, bench_alloc_paths, bench_end_to_end);
+criterion_group!(
+    benches,
+    bench_sweep,
+    bench_shadow,
+    bench_vmem,
+    bench_alloc_paths,
+    bench_end_to_end
+);
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 //! while ordinary small integers are not — matching the paper's observation
 //! that the sparsity of the 64-bit address space limits false retention.
 
-use crate::{Addr, PAGE_SIZE};
+use crate::{Addr, PageRange, PAGE_SIZE};
 
 /// Named region of the simulated address space.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -69,6 +69,11 @@ impl Layout {
             Segment::Stack => self.stack_pages,
             Segment::Heap => self.heap_pages,
         }
+    }
+
+    /// The pages of a segment.
+    pub fn segment_range(&self, seg: Segment) -> PageRange {
+        PageRange::new(self.segment_base(seg).page(), self.segment_pages(seg))
     }
 
     /// One past the last address of a segment.
