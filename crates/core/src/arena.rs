@@ -261,6 +261,16 @@ impl SweepScheduler {
     }
 }
 
+/// Plan bytes a pooled round needs per marker thread before it spawns a
+/// helper for that thread. A helper's start-up (a thread spawn and the
+/// wake-up of an idle core, tens to hundreds of microseconds on a
+/// virtualised host, and longer when the host is busy) is paid before it
+/// claims its first chunk; below this size that costs more than the share
+/// of the scan the helper takes over. On a 2-vCPU host, one helper made
+/// pooled marks of 0.5-2 MiB 1.2-1.8x slower than the caller marking
+/// alone, about broke even at 4 MiB (0.8-1.0x) and halved 8 MiB marks.
+pub(crate) const HELPER_MIN_BYTES: u64 = 4 << 20;
+
 /// Outcome of one pooled sweep round.
 #[derive(Clone, Debug, Default)]
 pub struct RoundReport {
@@ -271,7 +281,9 @@ pub struct RoundReport {
     pub mark_stats: Vec<ParallelMarkStats>,
     /// Wall nanoseconds of the pooled mark phase.
     pub mark_wall_ns: u64,
-    /// Helpers actually used after the hardware clamp.
+    /// Helpers actually used: the requested count, clamped to the
+    /// hardware and to one per 4 MiB of pooled plan beyond the caller's
+    /// share.
     pub effective_helpers: usize,
 }
 
@@ -280,7 +292,8 @@ pub struct RoundReport {
 pub struct ArenaPool<B: HeapBackend = JAlloc> {
     arenas: Vec<Arena<B>>,
     sched: SweepScheduler,
-    /// Helper threads requested per round (clamped at mark time).
+    /// Helper threads requested per round (clamped to the hardware and
+    /// the round's size at mark time).
     helpers: usize,
 }
 
@@ -381,8 +394,10 @@ impl<B: HeapBackend> ArenaPool<B> {
                     a.ms.pooled_mark_job(&a.space)
                 })
                 .collect();
-            let opts =
-                PoolMarkOpts { helper_threads: self.helpers, ..Default::default() };
+            let plan_bytes: u64 = jobs.iter().map(|j| j.plan.total_bytes()).sum();
+            let helper_threads =
+                self.helpers.min((plan_bytes / HELPER_MIN_BYTES).saturating_sub(1) as usize);
+            let opts = PoolMarkOpts { helper_threads, ..Default::default() };
             let t0 = std::time::Instant::now();
             let result = parallel_mark_pool(&jobs, &opts);
             let wall_ns = t0.elapsed().as_nanos() as u64;
@@ -507,6 +522,22 @@ mod tests {
         assert_eq!(ArenaId::from_label("a01"), None);
         assert_eq!(ArenaId::from_label("b3"), None);
         assert_eq!(ArenaId::from_label("none"), None);
+    }
+
+    #[test]
+    fn helpers_scale_with_round_size() {
+        // A helper per HELPER_MIN_BYTES of pooled plan beyond the
+        // caller's share, within the request and the hardware.
+        let mut pool = ArenaPool::new(2, MsConfig::fully_concurrent());
+        pool.set_helpers(7);
+        let small = pool.arena_mut(0).malloc(64);
+        pool.arena_mut(0).free(small);
+        assert_eq!(pool.sweep_all().effective_helpers, 0, "a small round marks on the caller");
+        // A live 12 MiB object puts its extent in the plan (unbacked, so
+        // cheap to skip): three threads' worth.
+        let _big = pool.arena_mut(1).malloc(3 * HELPER_MIN_BYTES);
+        let round = pool.sweep_all();
+        assert_eq!(round.effective_helpers, crate::sweep::effective_helper_count(2));
     }
 
     #[test]
