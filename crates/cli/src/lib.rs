@@ -371,7 +371,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                     Some(kind)
                 }
             };
-            if let Some(n) = arenas {
+            let m = if let Some(n) = arenas {
                 if drop_kind.is_some() {
                     return Err(CliError(
                         "--cost-drop is not supported with --arenas (the pooled \
@@ -391,6 +391,13 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                         "--arenas needs a minesweeper-layered system, not {system}"
                     ))
                 })?;
+                if cfg.forensics.enabled() {
+                    return Err(CliError(
+                        "--forensics is not supported with --arenas (the pooled \
+                         runner exports no pin edges or failed-free ledger)"
+                            .into(),
+                    ));
+                }
                 let m = run_arenas(&profile, *n, *seed, cfg);
                 if let Some(path) = metrics_out {
                     let snap =
@@ -398,27 +405,8 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                     std::fs::write(path, snap.to_json())
                         .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
                 }
-                let rows = vec![
-                    vec!["metric".to_string(), "value".into()],
-                    vec!["benchmark".into(), m.benchmark.clone()],
-                    vec!["system".into(), m.system.clone()],
-                    vec!["arenas".into(), n.to_string()],
-                    vec!["virtual cycles".into(), m.mutator_cycles.to_string()],
-                    vec!["background cycles".into(), m.background_cycles.to_string()],
-                    vec!["avg RSS".into(), bytes(m.avg_rss() as u64)],
-                    vec!["peak RSS".into(), bytes(m.peak_rss)],
-                    vec!["sweeps".into(), m.sweeps.to_string()],
-                    vec!["failed frees".into(), m.failed_frees.to_string()],
-                    vec!["cpu utilisation".into(), fx(m.cpu_utilisation())],
-                ];
-                let mut out = table(&rows);
-                let snap = m.telemetry.as_ref().expect("pooled runs always export telemetry");
-                out.push('\n');
-                out.push_str(&arena_table(snap)?);
-                return Ok(out);
-            }
-            let m = if trace_out.is_some() || metrics_out.is_some() || drop_kind.is_some()
-            {
+                m
+            } else if trace_out.is_some() || metrics_out.is_some() || drop_kind.is_some() {
                 let mut eng = Engine::new(&profile, sys, *seed);
                 if let Some(kind) = drop_kind {
                     eng.set_cost_drop(kind);
@@ -447,7 +435,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             } else {
                 run(&profile, sys, *seed)
             };
-            let rows = vec![
+            let mut rows = vec![
                 vec!["metric".to_string(), "value".into()],
                 vec!["benchmark".into(), m.benchmark.clone()],
                 vec!["system".into(), m.system.clone()],
@@ -459,10 +447,18 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 vec!["failed frees".into(), m.failed_frees.to_string()],
                 vec!["cpu utilisation".into(), fx(m.cpu_utilisation())],
             ];
+            if let Some(n) = arenas {
+                rows.insert(3, vec!["arenas".into(), n.to_string()]);
+            }
             let mut out = table(&rows);
             if let Some(snap) = &m.telemetry {
-                out.push_str("\ntelemetry:\n");
-                out.push_str(&telemetry_tables(snap));
+                if arenas.is_some() {
+                    out.push('\n');
+                    out.push_str(&arena_table(snap)?);
+                } else {
+                    out.push_str("\ntelemetry:\n");
+                    out.push_str(&telemetry_tables(snap));
+                }
             }
             Ok(out)
         }
@@ -1784,6 +1780,23 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.0.contains("--trace-out"), "{err}");
+        // The pooled runner records no pin edges, so an enabled forensics
+        // mode would be silently dropped; `off` is still accepted.
+        let run = |forensics: &str| {
+            execute(&Command::Run {
+                benchmark: "demo".into(),
+                system: "ms".into(),
+                seed: 1,
+                trace_out: None,
+                metrics_out: None,
+                forensics: Some(forensics.into()),
+                arenas: Some(2),
+                cost_drop: None,
+            })
+        };
+        let err = run("full").unwrap_err();
+        assert!(err.0.contains("--forensics"), "{err}");
+        assert!(run("off").is_ok());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use vmem::{Addr, AddrSpace};
 use crate::backend::{ArenaBackend, HeapBackend};
 use crate::config::MsConfig;
 use crate::layer::{FreeOutcome, MineSweeper, SweepReport};
-use crate::sweep::{parallel_mark_pool, ParallelMarkStats, PoolMarkOpts};
+use crate::sweep::{parallel_mark_pool, PoolMarkOpts, StepResult};
 
 /// Identifies one arena (tenant shard). Id 0 is the root arena — the
 /// single-arena layer constructors use it, so existing single-tenant
@@ -277,8 +277,8 @@ pub struct RoundReport {
     /// `(arena, report)` per scheduled arena, in scheduling (pressure)
     /// order. Empty when no arena was due.
     pub swept: Vec<(ArenaId, SweepReport)>,
-    /// Pooled mark stats, index-aligned with `swept`.
-    pub mark_stats: Vec<ParallelMarkStats>,
+    /// Each arena's pooled mark tally, index-aligned with `swept`.
+    pub mark_stats: Vec<StepResult>,
     /// Wall nanoseconds of the pooled mark phase.
     pub mark_wall_ns: u64,
     /// Helpers actually used: the requested count, clamped to the

@@ -16,9 +16,7 @@ use crate::pagecache::PageCache;
 use crate::quarantine::{InsertResult, QEntry, Quarantine};
 use crate::shadow::ShadowMap;
 use crate::stats::MsStats;
-use crate::sweep::{
-    mark_page, MarkAccel, Marker, ParallelMarkStats, PoolMarkJob, StepResult, SweepPlan,
-};
+use crate::sweep::{mark_page, MarkAccel, Marker, PoolMarkJob, StepResult, SweepPlan};
 use crate::telem::MsCounters;
 
 /// Maximum double-free report entries retained in debug mode.
@@ -124,11 +122,9 @@ struct ActiveSweep {
     locked: Vec<QEntry>,
     /// 1-based sweep number (stamps this sweep's trace events).
     id: u64,
-    /// Marking-phase accumulators across incremental steps.
-    mark_bytes: u64,
-    mark_words: u64,
-    mark_skipped_bytes: u64,
-    mark_filter_rejects: u64,
+    /// The marking phase's tally across incremental steps or a pooled
+    /// mark, and its wall time.
+    mark: StepResult,
     mark_wall_ns: u64,
     /// Wall clock for the whole sweep (inert when tracing is off).
     stopwatch: Stopwatch,
@@ -605,10 +601,7 @@ impl<B: HeapBackend> MineSweeper<B> {
             marker: Marker::new(plan),
             locked,
             id,
-            mark_bytes: 0,
-            mark_words: 0,
-            mark_skipped_bytes: 0,
-            mark_filter_rejects: 0,
+            mark: StepResult::default(),
             mark_wall_ns: 0,
             stopwatch,
             filter,
@@ -636,24 +629,24 @@ impl<B: HeapBackend> MineSweeper<B> {
             prof: self.prof.as_ref(),
         };
         let r = active.marker.step(space, &mut self.shadow, word_budget, &mut accel);
-        active.mark_bytes += r.bytes;
-        active.mark_words += r.words;
-        active.mark_skipped_bytes += r.skipped_bytes;
-        active.mark_filter_rejects += r.filter_rejects;
-        active.mark_wall_ns += sw.elapsed_ns();
-        self.absorb_mark_counters(&r);
+        self.fold_mark(&r, sw.elapsed_ns());
         r
     }
 
-    /// Folds one mark step's counters into the registry.
-    fn absorb_mark_counters(&self, r: &StepResult) {
-        self.counters.swept_bytes.add(r.bytes);
-        self.counters.skipped_bytes.add(r.skipped_bytes);
-        self.counters.heap_words.add(r.heap_words);
-        self.counters.pages_skipped.add(r.pages_skipped);
-        self.counters.pages_replayed.add(r.pages_replayed);
-        self.counters.filter_rejects.add(r.filter_rejects);
-        self.counters.pin_edges.add(r.pin_edges);
+    /// Folds marking work into the in-flight sweep's tally and the
+    /// registry counters — the one fold for serial steps and pooled marks.
+    fn fold_mark(&mut self, r: &StepResult, wall_ns: u64) {
+        let active = self.active.as_mut().expect("no sweep in flight");
+        active.mark.add(r);
+        active.mark_wall_ns += wall_ns;
+        let c = &self.counters;
+        c.swept_bytes.add(r.bytes);
+        c.skipped_bytes.add(r.skipped_bytes);
+        c.heap_words.add(r.heap_words);
+        c.pages_skipped.add(r.pages_skipped);
+        c.pages_replayed.add(r.pages_replayed);
+        c.filter_rejects.add(r.filter_rejects);
+        c.pin_edges.add(r.pin_edges);
     }
 
     /// Completes the in-flight sweep: finishes marking if needed, runs the
@@ -700,14 +693,9 @@ impl<B: HeapBackend> MineSweeper<B> {
 
     /// Completes a sweep whose marking ran *externally* (a pooled
     /// cross-arena mark wrote this arena's shadow map already): folds the
-    /// pooled stats into the layer's accounting, then runs the same
-    /// release path as [`MineSweeper::finish_sweep`].
-    ///
-    /// Accounting: the pooled mark covered the whole plan, so this sweep
-    /// advanced `plan bytes` with `stats.words` read and the remainder
-    /// skipped wholesale (unbacked/protected pages and cache replays) —
-    /// the `bytes == words*8 + skipped` identity `ms-report --check`
-    /// verifies holds exactly.
+    /// pooled job's tally, covering the whole plan, into the layer's
+    /// accounting, then runs the same release path as
+    /// [`MineSweeper::finish_sweep`].
     ///
     /// # Panics
     ///
@@ -715,41 +703,18 @@ impl<B: HeapBackend> MineSweeper<B> {
     pub fn finish_sweep_premarked(
         &mut self,
         space: &mut AddrSpace,
-        stats: &ParallelMarkStats,
+        mark: &StepResult,
         mark_wall_ns: u64,
     ) -> SweepReport {
-        let mut active = self.active.take().expect("no sweep in flight");
-        let bytes = active.marker.plan().total_bytes();
-        let words = stats.words;
-        let skipped = bytes.saturating_sub(words * WORD_SIZE as u64);
-        let pin_edges = active
-            .recorder
-            .as_ref()
-            .map_or(0, |r| r.aggregates().values().map(|a| a.hits).sum());
-        active.mark_bytes += bytes;
-        active.mark_words += words;
-        active.mark_skipped_bytes += skipped;
-        active.mark_filter_rejects += stats.filter_rejects;
-        active.mark_wall_ns += mark_wall_ns;
-        let step = StepResult {
-            words,
-            bytes,
-            skipped_bytes: skipped,
-            heap_words: stats.heap_words,
-            pages_skipped: stats.pages_skipped,
-            pages_replayed: stats.pages_replayed,
-            filter_rejects: stats.filter_rejects,
-            pin_edges,
-            finished: true,
-        };
-        self.absorb_mark_counters(&step);
-        let report = SweepReport { marked_words: words, ..SweepReport::default() };
+        self.fold_mark(mark, mark_wall_ns);
+        let active = self.active.take().expect("no sweep in flight");
+        let report = SweepReport { marked_words: mark.words, ..SweepReport::default() };
         self.complete_sweep(space, active, report)
     }
 
-    /// The shared sweep tail: `MarkPhase` event, optional stop-the-world
-    /// pass, the release walk over the locked quarantine generation,
-    /// post-sweep purge and the `SweepEnd` event. Both
+    /// The marked sweep's finish: `MarkPhase` event, optional
+    /// stop-the-world pass and the release walk over the locked quarantine
+    /// generation, then [`MineSweeper::end_sweep`]. Both
     /// [`MineSweeper::finish_sweep`] and
     /// [`MineSweeper::finish_sweep_premarked`] come through here, so a
     /// pooled arena's release semantics cannot drift from the
@@ -761,7 +726,7 @@ impl<B: HeapBackend> MineSweeper<B> {
         mut report: SweepReport,
     ) -> SweepReport {
         let id = active.id;
-        report.skipped_bytes = active.mark_skipped_bytes;
+        report.skipped_bytes = active.mark.skipped_bytes;
         let marked_granules = self.shadow.marked_count();
         // Profiler attribution for this sweep: deltas of the cumulative
         // sweep.* cells against the sweep-start baselines. `None` (the
@@ -784,10 +749,10 @@ impl<B: HeapBackend> MineSweeper<B> {
         };
         self.tracer.emit(|| EventKind::MarkPhase {
             sweep: id,
-            bytes: active.mark_bytes,
-            words: active.mark_words,
-            skipped_bytes: active.mark_skipped_bytes,
-            filter_rejects: active.mark_filter_rejects,
+            bytes: active.mark.bytes,
+            words: active.mark.words,
+            skipped_bytes: active.mark.skipped_bytes,
+            filter_rejects: active.mark.filter_rejects,
             marked_granules,
             wall_ns: active.mark_wall_ns,
             prof: mark_prof,
@@ -815,13 +780,24 @@ impl<B: HeapBackend> MineSweeper<B> {
             self.resolve_entry(space, entry, dangling, id, edges.as_ref(), &mut report);
         }
         report.marked_granules = self.shadow.marked_count();
+        self.end_sweep(space, id, active.stopwatch, report)
+    }
+
+    /// The one sweep tail, after a release walk: the `Release` event, the
+    /// post-sweep purge, the sweep count and the `SweepEnd` event.
+    fn end_sweep(
+        &mut self,
+        space: &mut AddrSpace,
+        id: u64,
+        stopwatch: Stopwatch,
+        report: SweepReport,
+    ) -> SweepReport {
         self.tracer.emit(|| EventKind::Release {
             sweep: id,
             released: report.released,
             released_bytes: report.released_bytes,
             failed_frees: report.failed,
         });
-
         // §4.5: synchronise allocator cleanup with the end of the sweep.
         if self.cfg.purge_after_sweep {
             let purged0 = self.heap.purged_pages();
@@ -830,7 +806,7 @@ impl<B: HeapBackend> MineSweeper<B> {
             self.tracer.emit(|| EventKind::Purge { sweep: id, purged_pages });
         }
         self.counters.sweeps.inc();
-        let wall_ns = active.stopwatch.elapsed_ns();
+        let wall_ns = stopwatch.elapsed_ns();
         let ledger = self.sweep_end_ledger();
         self.tracer.emit(|| EventKind::SweepEnd { sweep: id, wall_ns, ledger });
         report
@@ -989,23 +965,7 @@ impl<B: HeapBackend> MineSweeper<B> {
             self.resolve_entry(space, entry, dangling, id, None, &mut report);
         }
         report.marked_granules = shadow.marked_count();
-        self.tracer.emit(|| EventKind::Release {
-            sweep: id,
-            released: report.released,
-            released_bytes: report.released_bytes,
-            failed_frees: report.failed,
-        });
-        if self.cfg.purge_after_sweep {
-            let purged0 = self.heap.purged_pages();
-            self.heap.purge_all(space);
-            let purged_pages = self.heap.purged_pages().saturating_sub(purged0);
-            self.tracer.emit(|| EventKind::Purge { sweep: id, purged_pages });
-        }
-        self.counters.sweeps.inc();
-        let wall_ns = stopwatch.elapsed_ns();
-        let ledger = self.sweep_end_ledger();
-        self.tracer.emit(|| EventKind::SweepEnd { sweep: id, wall_ns, ledger });
-        report
+        self.end_sweep(space, id, stopwatch, report)
     }
 }
 
@@ -1101,7 +1061,7 @@ mod tests {
 
     #[test]
     fn without_zeroing_cycles_fail_to_free() {
-        let cfg = MsConfig::builder().zeroing(false).build();
+        let cfg = MsConfig { zeroing: false, ..MsConfig::default() };
         let (mut space, mut ms) = setup(cfg);
         let a = ms.malloc(&mut space, 64);
         let b = ms.malloc(&mut space, 64);
@@ -1115,7 +1075,7 @@ mod tests {
 
     #[test]
     fn double_free_is_idempotent_and_reported() {
-        let cfg = MsConfig::builder().report_double_frees(true).build();
+        let cfg = MsConfig { report_double_frees: true, ..MsConfig::default() };
         let (mut space, mut ms) = setup(cfg);
         let a = ms.malloc(&mut space, 64);
         assert_eq!(ms.free(&mut space, a), FreeOutcome::Quarantined);
@@ -1220,7 +1180,7 @@ mod tests {
         for (mode, expect_failed) in
             [(SweepMode::FullyConcurrent, 0), (SweepMode::MostlyConcurrent, 1)]
         {
-            let cfg = MsConfig::builder().mode(mode).build();
+            let cfg = MsConfig { mode, ..MsConfig::default() };
             let (mut space, mut ms) = setup(cfg);
             let victim = ms.malloc(&mut space, 64);
             let slot_a = ms.malloc(&mut space, 64); // low address (swept first)
@@ -1307,7 +1267,7 @@ mod tests {
 
     #[test]
     fn pause_trigger_fires_under_quarantine_overrun() {
-        let cfg = MsConfig::builder().pause_factor(2.0).build();
+        let cfg = MsConfig { pause_factor: 2.0, ..MsConfig::default() };
         let (mut space, mut ms) = setup(cfg);
         let live: Vec<Addr> = (0..600).map(|_| ms.malloc(&mut space, 4096)).collect();
         ms.start_sweep(&mut space);

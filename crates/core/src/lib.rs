@@ -73,7 +73,7 @@ mod telem;
 
 pub use arena::{Arena, ArenaId, ArenaPool, RoundReport, SchedPolicy, SweepScheduler};
 pub use backend::{ArenaBackend, HeapBackend};
-pub use config::{ForensicsMode, MsConfig, MsConfigBuilder, SweepMode};
+pub use config::{ForensicsMode, MsConfig, SweepMode};
 pub use filter::CandidateFilter;
 pub use forensics::{EdgeAgg, EdgeRecorder, FailedFreeLedger, LedgerEntry};
 pub use layer::{FreeOutcome, MineSweeper, SweepReport};
@@ -84,9 +84,8 @@ pub use shadow::{NaiveShadowMap, ShadowMap, ShadowWriter, WriterProf, MAX_SHADOW
 pub use stats::MsStats;
 pub use simd::ScanTier;
 pub use sweep::{
-    effective_helper_count, parallel_mark_pool, MarkAccel, MarkProfile, Marker,
-    ParallelMarkStats, PoolMarkJob, PoolMarkOpts, PoolMarkResult, StepResult, SweepPlan,
-    PARALLEL_CHUNK_PAGES,
+    effective_helper_count, parallel_mark_pool, MarkAccel, MarkProfile, Marker, PoolMarkJob,
+    PoolMarkOpts, PoolMarkResult, StepResult, SweepPlan, PARALLEL_CHUNK_PAGES,
 };
 pub use telem::{MsCounters, SweepProf, LAYER_SUBSYSTEM, SWEEP_SUBSYSTEM};
 

@@ -26,11 +26,14 @@
 //!   never idle behind an unlucky static share. A single-arena mark is the
 //!   one-job case.
 //!
-//! Every scanned word — serial, parallel, STW re-mark or forensic — goes
-//! through the single `scan_words` inner loop, whose classify pass is
-//! the runtime-dispatched SIMD kernel in [`crate::simd`].
+//! Both paths report their work as a [`StepResult`]. Every word they scan
+//! — serial, parallel, STW re-mark or forensic — goes through the single
+//! `scan_words` inner loop, whose classify pass is the runtime-dispatched
+//! SIMD kernel in [`crate::simd`]. The one exception is the MTE tag-aware
+//! marker ([`crate::MteHeap::sweep_now_tag_aware`]): its per-word test is
+//! a tag match, not a heap-range test, so it keeps its own loop.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use vmem::{Addr, AddrSpace, Layout, MemError, PageIdx, Segment, PAGE_SIZE, WORD_SIZE};
@@ -95,7 +98,8 @@ impl SweepPlan {
     }
 }
 
-/// Progress report from one [`Marker::step`].
+/// The mark tally: progress from one [`Marker::step`], or one job's share
+/// of a [`parallel_mark_pool`].
 ///
 /// Accounting invariant: `bytes == words * 8 + skipped_bytes` — every
 /// byte the cursor advances through is either read word-by-word or
@@ -128,6 +132,21 @@ pub struct StepResult {
     pub pin_edges: u64,
     /// Whether the marking phase is complete.
     pub finished: bool,
+}
+
+impl StepResult {
+    /// Adds `other`'s counters into `self`; `finished` becomes `other`'s.
+    pub fn add(&mut self, other: &StepResult) {
+        self.words += other.words;
+        self.bytes += other.bytes;
+        self.skipped_bytes += other.skipped_bytes;
+        self.heap_words += other.heap_words;
+        self.pages_skipped += other.pages_skipped;
+        self.pages_replayed += other.pages_replayed;
+        self.filter_rejects += other.filter_rejects;
+        self.pin_edges += other.pin_edges;
+        self.finished = other.finished;
+    }
 }
 
 /// Acceleration context for a sweep: the optional candidate filter and
@@ -181,10 +200,6 @@ pub struct Marker {
     idx: usize,
     off: u64,
     done_bytes: u64,
-    /// Plan ranges sorted by base — `(base, len, plan index)` — so
-    /// [`Marker::has_passed`] is a binary search instead of a linear walk
-    /// over the plan (root-heavy plans have thousands of ranges).
-    by_base: Vec<(u64, u64, usize)>,
     /// In-progress page digest `(page index, heap-pointing values)` —
     /// carried across budget-split steps so a page scanned in several
     /// chunks still records one complete summary.
@@ -194,14 +209,7 @@ pub struct Marker {
 impl Marker {
     /// Creates a cursor at the start of `plan`.
     pub fn new(plan: SweepPlan) -> Self {
-        let mut by_base: Vec<(u64, u64, usize)> = plan
-            .ranges
-            .iter()
-            .enumerate()
-            .map(|(i, &(base, len))| (base.raw(), len, i))
-            .collect();
-        by_base.sort_unstable();
-        Marker { plan, idx: 0, off: 0, done_bytes: 0, by_base, pending: None }
+        Marker { plan, idx: 0, off: 0, done_bytes: 0, pending: None }
     }
 
     /// Bytes of plan not yet advanced through.
@@ -216,18 +224,14 @@ impl Marker {
     }
 
     /// Whether the cursor has passed `addr` (used by tests to position
-    /// race scenarios relative to the sweep front). Binary search over the
-    /// base-sorted range index; plan ranges never overlap.
+    /// race scenarios relative to the sweep front). A linear walk over the
+    /// plan; plan ranges never overlap.
     pub fn has_passed(&self, addr: Addr) -> bool {
-        let i = self.by_base.partition_point(|&(base, _, _)| base <= addr.raw());
-        if i == 0 {
-            return false;
-        }
-        let (base, len, plan_idx) = self.by_base[i - 1];
-        if addr.raw() - base >= len {
-            return false;
-        }
-        plan_idx < self.idx || (plan_idx == self.idx && addr.raw() - base < self.off)
+        self.plan.ranges.iter().enumerate().any(|(i, &(base, len))| {
+            addr >= base
+                && addr.offset_from(base) < len
+                && (i < self.idx || (i == self.idx && addr.offset_from(base) < self.off))
+        })
     }
 
     /// Advances the cursor by up to `word_budget` words, marking pointer
@@ -552,7 +556,7 @@ pub fn mark_page(space: &mut AddrSpace, shadow: &mut ShadowMap, page: PageIdx) -
 pub const PARALLEL_CHUNK_PAGES: u64 = 64;
 
 /// Wall-clock and scheduling attribution from one profiled parallel
-/// mark. Unlike [`ParallelMarkStats`] these fields are
+/// mark. Unlike the per-job [`StepResult`]s these fields are
 /// **nondeterministic** (clock reads and claim-order dependent), which is
 /// why they live behind [`PoolMarkOpts::prof`]: with the profiler off
 /// every field stays zero.
@@ -567,29 +571,6 @@ pub struct MarkProfile {
     pub busy_ns: u64,
     /// Wall nanoseconds for the whole mark (spawn to last join).
     pub wall_ns: u64,
-}
-
-/// Aggregated counters from one job of a parallel mark. Every field is
-/// **deterministic** — each chunk of the work queue is claimed exactly
-/// once and every word is classified exactly once, so the totals are
-/// independent of helper count, chunk size and claim order (the
-/// work-stealing determinism proptests pin this down).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ParallelMarkStats {
-    /// Words read and classified (excludes cache-replayed pages).
-    pub words: u64,
-    /// Scanned words that passed the heap range test (pre-filter).
-    pub heap_words: u64,
-    /// Heap-pointing words suppressed by the candidate filter — scan and
-    /// replay combined, exactly as the serial [`StepResult`] counts them.
-    pub filter_rejects: u64,
-    /// Clean pages whose 512-word re-read was skipped via the cache.
-    pub pages_skipped: u64,
-    /// Skipped pages whose non-empty digest was replayed (subset of
-    /// `pages_skipped`).
-    pub pages_replayed: u64,
-    /// Chunks in the work queue (claims performed, not per-thread).
-    pub chunks: u64,
 }
 
 /// Marks one work-queue chunk: per-page slices through the shared
@@ -690,16 +671,20 @@ pub struct PoolMarkOpts<'a> {
     pub prof: Option<&'a SweepProf>,
 }
 
-/// Result of one pooled mark: per-job deterministic stats (index-aligned
+/// Result of one pooled mark: per-job deterministic tallies (index-aligned
 /// with the job slice) plus the aggregate nondeterministic profile.
 #[derive(Clone, Debug, Default)]
 pub struct PoolMarkResult {
-    /// Per-job stats; `chunks` counts the chunks the job *owns* and the
+    /// Per-job tallies, every one `finished`. `bytes` is the job's whole
+    /// plan and everything not read word by word is `skipped_bytes`; the
     /// word/reject counters come from the owner's scan pass only (a
     /// shared root chunk's words are charged once, to its owner), so each
-    /// job's accounting identity `plan bytes == words*8 + skipped` holds
-    /// independent of how many arenas were batched.
-    pub per_job: Vec<ParallelMarkStats>,
+    /// job's identity `bytes == words*8 + skipped_bytes` holds
+    /// independent of how many arenas were batched. Every field is
+    /// deterministic: each chunk is claimed exactly once and every word
+    /// classified exactly once, whatever the helper count, chunk size and
+    /// claim order.
+    pub per_job: Vec<StepResult>,
     /// Helper threads actually spawned after the hardware clamp.
     pub effective_helpers: usize,
     /// Aggregate wall/busy/steal attribution (all-zero without
@@ -714,16 +699,6 @@ fn in_root_segment(layout: &Layout, addr: Addr) -> bool {
         let len = layout.segment_pages(seg) * PAGE_SIZE as u64;
         addr >= base && addr.raw() < base.raw() + len
     })
-}
-
-/// Per-job atomic fold targets for the pooled mark.
-#[derive(Default)]
-struct JobTotals {
-    words: AtomicU64,
-    heap_words: AtomicU64,
-    filter_rejects: AtomicU64,
-    pages_skipped: AtomicU64,
-    pages_replayed: AtomicU64,
 }
 
 /// The work-stealing parallel marker (§4.4: "a main sweeper thread and
@@ -752,10 +727,10 @@ struct JobTotals {
 /// globals) chunks are *shared process state*: each is scanned once per
 /// job and marked into every job's shadow through that job's own filter,
 /// so a dangling root pointer in one arena pins quarantined blocks in
-/// another; root chunks never replay the page cache. Per-thread counters
-/// fold into the per-job [`ParallelMarkStats`] with one atomic add per
-/// thread at join time. The mark set and counters are independent of
-/// helper count, chunk size and claim order.
+/// another; root chunks never replay the page cache. Each thread keeps
+/// one [`StepResult`] per job and hands it back through its join; the
+/// caller sums them. The mark set and tallies are independent of helper
+/// count, chunk size and claim order.
 pub fn parallel_mark_pool(
     jobs: &[PoolMarkJob<'_>],
     opts: &PoolMarkOpts<'_>,
@@ -769,7 +744,7 @@ pub fn parallel_mark_pool(
     // Cut each job's plan into chunks, tagging root-segment chunks, then
     // interleave the per-job lists so the shared cursor alternates
     // between arenas from the first claim.
-    let mut per_job_chunks: Vec<Vec<(Addr, u64, bool)>> = jobs
+    let per_job_chunks: Vec<Vec<(Addr, u64, bool)>> = jobs
         .iter()
         .map(|job| {
             let layout = job.space.layout();
@@ -792,7 +767,7 @@ pub fn parallel_mark_pool(
     let mut round = 0;
     loop {
         let mut any = false;
-        for (j, list) in per_job_chunks.iter_mut().enumerate() {
+        for (j, list) in per_job_chunks.iter().enumerate() {
             if round < list.len() {
                 let (addr, len, shared) = list[round];
                 chunks.push((j, addr, len, shared));
@@ -804,18 +779,14 @@ pub fn parallel_mark_pool(
         }
         round += 1;
     }
-    let owned_chunks: Vec<u64> =
-        per_job_chunks.iter().map(|l| l.len() as u64).collect();
-
-    let totals: Vec<JobTotals> = jobs.iter().map(|_| JobTotals::default()).collect();
+    let edges_before: Vec<u64> =
+        jobs.iter().map(|j| j.forensics.map_or(0, EdgeRecorder::recorded)).collect();
     let cursor = AtomicUsize::new(0);
-    let prof_busy_ns = AtomicU64::new(0);
-    let prof_claimed = AtomicU64::new(0);
-    let prof_stolen = AtomicU64::new(0);
     // Profiler gate: one branch per thread with `prof` unset — no clock
     // reads in or around the claim loop.
     let mark_t0 = opts.prof.map(|_| Instant::now());
-    // One marker's claim loop; thread 0 is the calling thread.
+    // One marker's claim loop; thread 0 is the calling thread. Returns
+    // its per-job tallies and its profiled `(busy_ns, claimed)`.
     let marker = |thread_idx: usize| {
         let thread_t0 = opts.prof.map(|_| Instant::now());
         let mut writers: Vec<ShadowWriter<'_>> = jobs.iter().map(|j| j.shadow.writer()).collect();
@@ -877,21 +848,25 @@ pub fn parallel_mark_pool(
             p.helper_chunks.record(claimed);
             p.helper_busy_pct
                 .record((busy_ns * 100).checked_div(wall).map_or(100, |pct| pct.min(100)));
-            prof_busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-            prof_claimed.fetch_add(claimed, Ordering::Relaxed);
             p.chunks_claimed.add(claimed);
             if thread_idx > 0 {
-                prof_stolen.fetch_add(claimed, Ordering::Relaxed);
                 p.chunks_stolen.add(claimed);
             }
         }
+        // Dropping the writers publishes their buffered marks.
         drop(writers);
-        for (local, total) in locals.iter().zip(&totals) {
-            total.words.fetch_add(local.words, Ordering::Relaxed);
-            total.heap_words.fetch_add(local.heap_words, Ordering::Relaxed);
-            total.filter_rejects.fetch_add(local.filter_rejects, Ordering::Relaxed);
-            total.pages_skipped.fetch_add(local.pages_skipped, Ordering::Relaxed);
-            total.pages_replayed.fetch_add(local.pages_replayed, Ordering::Relaxed);
+        (locals, busy_ns, claimed)
+    };
+    let mut per_job = vec![StepResult::default(); jobs.len()];
+    let mut profile = MarkProfile::default();
+    let mut fold = |thread_idx: usize, (locals, busy_ns, claimed): (Vec<StepResult>, u64, u64)| {
+        for (total, local) in per_job.iter_mut().zip(&locals) {
+            total.add(local);
+        }
+        profile.busy_ns += busy_ns;
+        profile.chunks_claimed += claimed;
+        if thread_idx > 0 {
+            profile.chunks_stolen += claimed;
         }
     };
     // The caller marks as thread 0 and spawns only the helpers: a serial
@@ -901,33 +876,21 @@ pub fn parallel_mark_pool(
         let marker = &marker;
         let handles: Vec<_> =
             (1..threads).map(|thread_idx| scope.spawn(move || marker(thread_idx))).collect();
-        marker(0);
-        for h in handles {
-            h.join().expect("pool marker thread panicked");
+        fold(0, marker(0));
+        for (i, h) in handles.into_iter().enumerate() {
+            fold(i + 1, h.join().expect("pool marker thread panicked"));
         }
     });
-    let per_job = totals
-        .into_iter()
-        .zip(owned_chunks)
-        .map(|(t, chunks)| ParallelMarkStats {
-            words: t.words.into_inner(),
-            heap_words: t.heap_words.into_inner(),
-            filter_rejects: t.filter_rejects.into_inner(),
-            pages_skipped: t.pages_skipped.into_inner(),
-            pages_replayed: t.pages_replayed.into_inner(),
-            chunks,
-        })
-        .collect();
-    PoolMarkResult {
-        per_job,
-        effective_helpers: helpers,
-        profile: MarkProfile {
-            chunks_claimed: prof_claimed.into_inner(),
-            chunks_stolen: prof_stolen.into_inner(),
-            busy_ns: prof_busy_ns.into_inner(),
-            wall_ns: mark_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
-        },
+    // Each job's pass covered its whole plan: whatever was not read word
+    // by word was skipped (unbacked/protected pages and cache replays).
+    for ((r, job), before) in per_job.iter_mut().zip(jobs).zip(edges_before) {
+        r.bytes = job.plan.total_bytes();
+        r.skipped_bytes = r.bytes - r.words * WORD_SIZE as u64;
+        r.pin_edges = job.forensics.map_or(0, EdgeRecorder::recorded) - before;
+        r.finished = true;
     }
+    profile.wall_ns = mark_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+    PoolMarkResult { per_job, effective_helpers: helpers, profile }
 }
 
 /// Clamps a requested helper-thread count to the hardware: at most
@@ -1118,8 +1081,7 @@ mod tests {
     #[test]
     fn has_passed_uses_plan_order_not_address_order() {
         // Ranges deliberately out of address order: the cursor's notion of
-        // "passed" must follow plan position, which the base-sorted index
-        // has to map back to.
+        // "passed" must follow plan position, not address order.
         let mut space = AddrSpace::new();
         let lo = heap(&mut space, 1);
         let hi = heap(&mut space, 1);
@@ -1225,6 +1187,16 @@ mod tests {
         PoolMarkOpts { helper_threads, ..PoolMarkOpts::default() }
     }
 
+    /// Chunks the pooled cursor cuts `plan` into at `chunk_pages`-page
+    /// granularity: one per chunk-aligned window each range touches.
+    fn chunk_count(plan: &SweepPlan, chunk_pages: u64) -> u64 {
+        let window = chunk_pages * PAGE_SIZE as u64;
+        plan.ranges()
+            .iter()
+            .map(|&(base, len)| (base.raw() + len - 1) / window - base.raw() / window + 1)
+            .sum()
+    }
+
     #[test]
     fn parallel_mark_agrees_with_serial() {
         let mut space = AddrSpace::new();
@@ -1303,7 +1275,8 @@ mod tests {
     fn pooled_mark_of_several_jobs_is_independent_of_helpers() {
         // Two arenas through one cursor: heap chunks mark their owner's
         // map, the shared root chunk marks both. Neither helper count nor
-        // chunk size may change a map or a job's word counters.
+        // chunk size may change a map or a job's tally, and every chunk of
+        // both plans is claimed exactly once.
         let mut spaces = [AddrSpace::new(), AddrSpace::new()];
         let plans: Vec<SweepPlan> = spaces
             .iter_mut()
@@ -1314,7 +1287,11 @@ mod tests {
                 SweepPlan::build(space, heap.ranges())
             })
             .collect();
-        let mark = |opts: &PoolMarkOpts<'_>| {
+        let mark = |chunk_pages: u64, h: usize| {
+            let reg = telemetry::Registry::new();
+            let prof = SweepProf::register(&reg);
+            let opts =
+                PoolMarkOpts { chunk_pages: Some(chunk_pages), prof: Some(&prof), ..helpers(h) };
             let maps = [ShadowMap::new(), ShadowMap::new()];
             let jobs: Vec<PoolMarkJob<'_>> = (0..2)
                 .map(|k| PoolMarkJob {
@@ -1326,19 +1303,15 @@ mod tests {
                     forensics: None,
                 })
                 .collect();
-            // `chunks` counts the queue's chunks, which depends on their size.
-            let stats: Vec<ParallelMarkStats> = parallel_mark_pool(&jobs, opts)
-                .per_job
-                .into_iter()
-                .map(|s| ParallelMarkStats { chunks: 0, ..s })
-                .collect();
-            (maps.map(|m| m.marked_count()), stats)
+            let result = parallel_mark_pool(&jobs, &opts);
+            let chunks: u64 = plans.iter().map(|p| chunk_count(p, chunk_pages)).sum();
+            assert_eq!(result.profile.chunks_claimed, chunks, "every chunk claimed once");
+            (maps.map(|m| m.marked_count()), result.per_job)
         };
-        let reference = mark(&PoolMarkOpts::default());
+        let reference = mark(PARALLEL_CHUNK_PAGES, 0);
         assert!(reference.0.iter().all(|&n| n > 0));
         for (chunk_pages, h) in [(1, 1), (1, 3), (2, 7), (64, 3)] {
-            let opts = PoolMarkOpts { chunk_pages: Some(chunk_pages), ..helpers(h) };
-            assert_eq!(mark(&opts), reference, "chunk_pages={chunk_pages} helpers={h}");
+            assert_eq!(mark(chunk_pages, h), reference, "chunk_pages={chunk_pages} helpers={h}");
         }
     }
 
@@ -1655,10 +1628,9 @@ mod tests {
 
     #[test]
     fn parallel_stats_match_serial_step_result() {
-        // The work-stealing totals must agree with the serial cursor's
-        // accounting word for word: same filter_rejects, heap_words and
-        // scanned words — that is what lets the layer's reconcile treat
-        // the two paths interchangeably.
+        // The work-stealing tally must equal the serial cursor's whole
+        // StepResult — that is what lets the layer's reconcile treat the
+        // two paths interchangeably.
         let mut space = AddrSpace::new();
         let (targets, plan) = scatter_fixture(&mut space);
         let filter =
@@ -1672,11 +1644,8 @@ mod tests {
         assert!(r.filter_rejects > 0 && r.heap_words > r.filter_rejects);
         for h in [0, 2, 5] {
             let (map, result) = solo(&space, &plan, Some(&filter), None, None, &helpers(h));
-            let stats = result.per_job[0];
             assert_eq!(map.marked_count(), serial.marked_count());
-            assert_eq!(stats.filter_rejects, r.filter_rejects, "helpers={h}");
-            assert_eq!(stats.heap_words, r.heap_words);
-            assert_eq!(stats.words, r.words);
+            assert_eq!(result.per_job[0], r, "helpers={h}");
             assert_eq!(result.effective_helpers, effective_helper_count(h));
         }
     }
@@ -1710,9 +1679,7 @@ mod tests {
                 for t in &targets {
                     assert_eq!(map.is_marked(*t), ref_map.is_marked(*t));
                 }
-                assert_eq!(stats.words, reference.words);
-                assert_eq!(stats.heap_words, reference.heap_words);
-                assert_eq!(stats.filter_rejects, reference.filter_rejects);
+                assert_eq!(stats, reference);
             }
         }
     }
@@ -1737,19 +1704,20 @@ mod tests {
         let opts = PoolMarkOpts { prof: Some(&prof), ..helpers(2) };
         let (profiled, on) = solo(&space, &plan, None, None, None, &opts);
         let (stats, profile) = (on.per_job[0], on.profile);
+        let chunks = chunk_count(&plan, PARALLEL_CHUNK_PAGES);
         assert_eq!(profiled.marked_count(), plain.marked_count());
         assert_eq!(stats, base, "the profiler changes no deterministic counter");
-        assert_eq!(profile.chunks_claimed, stats.chunks, "every chunk claimed once");
+        assert_eq!(profile.chunks_claimed, chunks, "every chunk claimed once");
         assert!(profile.chunks_stolen <= profile.chunks_claimed);
         assert!(profile.wall_ns > 0 && profile.busy_ns > 0);
         let snap = reg.snapshot();
         assert_eq!(
             snap.counter(SWEEP_SUBSYSTEM, "chunks_claimed"),
-            Some(stats.chunks),
+            Some(chunks),
             "registry cells mirror the returned profile"
         );
         let per_chunk = snap.histogram(SWEEP_SUBSYSTEM, "chunk_scan_ns").unwrap();
-        assert_eq!(per_chunk.count(), stats.chunks);
+        assert_eq!(per_chunk.count(), chunks);
         let busy = snap.histogram(SWEEP_SUBSYSTEM, "helper_busy_pct").unwrap();
         assert_eq!(busy.count(), on.effective_helpers as u64 + 1, "one sample per thread");
         assert!(

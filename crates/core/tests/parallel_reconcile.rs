@@ -1,19 +1,19 @@
 //! Cross-plane reconcile for the parallel marking path.
 //!
-//! The work-stealing [`parallel_mark_pool`] folds per-thread counters —
-//! notably `filter_rejects` — into one [`ParallelMarkStats`] per job with a
-//! single atomic add per thread at join time. This test drives those
-//! aggregated stats through both telemetry planes (the `layer` counter
+//! The work-stealing [`parallel_mark_pool`] sums per-thread counters —
+//! notably `filter_rejects` — into one [`StepResult`] per job as each
+//! thread joins. This test drives those aggregated stats through both
+//! telemetry planes (the `layer` counter
 //! registry and the typed event trace) and checks that
 //! [`RunReport::reconcile`] holds them equal, exactly as
 //! `ms-report --check` does for a recorded run. Crediting only the main
-//! thread's rejects — the bug the atomic aggregation exists to prevent —
-//! must make the reconcile fail by name.
+//! thread's rejects — the bug the per-thread sum exists to prevent — must
+//! make the reconcile fail by name.
 
 use minesweeper::telemetry::{Event, EventKind, Registry, RunReport, Trigger};
 use minesweeper::{
-    parallel_mark_pool, CandidateFilter, MarkAccel, Marker, MsCounters, ParallelMarkStats,
-    PoolMarkJob, PoolMarkOpts, ShadowMap, SweepPlan,
+    parallel_mark_pool, CandidateFilter, MarkAccel, Marker, MsCounters, PoolMarkJob,
+    PoolMarkOpts, ShadowMap, StepResult, SweepPlan,
 };
 use vmem::{Addr, AddrSpace, PAGE_SIZE};
 
@@ -52,7 +52,7 @@ fn pooled_mark(
     plan: &SweepPlan,
     helpers: usize,
     filter: &CandidateFilter,
-) -> (ShadowMap, ParallelMarkStats) {
+) -> (ShadowMap, StepResult) {
     let shadow = ShadowMap::new();
     let job = PoolMarkJob {
         space,
@@ -74,7 +74,7 @@ fn parallel_rejects_reconcile_across_both_telemetry_planes() {
     let filter = CandidateFilter::build([(candidate, CANDIDATE_PTRS * 8)]);
 
     // Parallel mark with the candidate filter: rejects are counted by
-    // every worker and atomically folded at join.
+    // every worker and summed as the workers join.
     let (shadow, stats) = pooled_mark(&space, &plan, 3, &filter);
     assert_eq!(stats.filter_rejects, REJECTED_PTRS, "every live-pointer word rejected");
     assert_eq!(stats.heap_words, CANDIDATE_PTRS + REJECTED_PTRS);
@@ -89,9 +89,7 @@ fn parallel_rejects_reconcile_across_both_telemetry_planes() {
         &mut serial,
         &mut MarkAccel { filter: Some(&filter), ..MarkAccel::default() },
     );
-    assert_eq!(stats.filter_rejects, r.filter_rejects);
-    assert_eq!(stats.heap_words, r.heap_words);
-    assert_eq!(stats.words, r.words);
+    assert_eq!(stats, r);
 
     // Plane 1: the layer counters, credited from the aggregated stats
     // the way `MineSweeper` credits its own parallel phase.
@@ -134,7 +132,7 @@ fn parallel_rejects_reconcile_across_both_telemetry_planes() {
     report.reconcile(&registry.snapshot()).expect("aggregated parallel stats must reconcile");
 
     // The regression this guards: crediting only the main thread's view
-    // of the rejects (dropping the helpers' atomic contributions) leaves
+    // of the rejects (dropping the helpers' contributions) leaves
     // the counter short and the reconcile must say so by name.
     let broken = Registry::new();
     let short = MsCounters::register(&broken);

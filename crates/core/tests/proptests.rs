@@ -291,9 +291,12 @@ proptest! {
         // `base` (the cache only replays provably-clean pages), and all
         // three must make identical release decisions (the filter drops
         // only marks no locked quarantine entry can observe).
-        let base_cfg = MsConfig::builder().page_cache(false).candidate_filter(false).build();
-        let inc_cfg = MsConfig::builder().page_cache(true).candidate_filter(false).build();
-        let incf_cfg = MsConfig::builder().page_cache(true).candidate_filter(true).build();
+        let cfg = |page_cache, candidate_filter| MsConfig {
+            page_cache,
+            candidate_filter,
+            ..MsConfig::default()
+        };
+        let (base_cfg, inc_cfg, incf_cfg) = (cfg(false, false), cfg(true, false), cfg(true, true));
         let mut layers: Vec<(AddrSpace, MineSweeper<_>)> = [base_cfg, inc_cfg, incf_cfg]
             .into_iter()
             .map(|cfg| (AddrSpace::new(), MineSweeper::new(cfg)))
@@ -816,11 +819,7 @@ proptest! {
             ..PoolMarkOpts::default()
         };
         let stats = parallel_mark_pool(&[job], &opts).per_job[0];
-        prop_assert_eq!(stats.words, serial.words);
-        prop_assert_eq!(stats.heap_words, serial.heap_words);
-        prop_assert_eq!(stats.filter_rejects, serial.filter_rejects);
-        prop_assert_eq!(stats.pages_skipped, serial.pages_skipped);
-        prop_assert_eq!(stats.pages_replayed, serial.pages_replayed);
+        prop_assert_eq!(stats, serial);
         if cache_on {
             let clean = (0..pages).filter(|i| (dirty_mask >> i) & 1 == 0).count() as u64;
             prop_assert_eq!(serial.pages_skipped, clean);

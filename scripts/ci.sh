@@ -416,6 +416,24 @@ stage_docs() {
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 }
 
+# desc: non-test lines per crate and workspace total (report only)
+stage_loc() {
+    # A line counts when it sits above the first `#[cfg(test)]` of its
+    # `src` file; `tests/` dirs and perfbench/ are not counted. Never
+    # fails: it makes net-LOC goals checkable, it does not gate them.
+    local dir n total=0
+    for dir in src crates/*/src; do
+        n=$(find "$dir" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+            FNR == 1 { skip = 0 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+            !skip { n++ }
+            END { print n + 0 }')
+        printf '%-24s %6d\n' "$dir" "$n"
+        total=$((total + n))
+    done
+    printf '%-24s %6d\n' "workspace" "$total"
+}
+
 # ---------------------------------------------------------------------------
 # Driver.
 # ---------------------------------------------------------------------------
@@ -440,6 +458,7 @@ STAGES=(
     check-selftest
     clippy
     docs
+    loc
 )
 
 desc_of() {
