@@ -34,7 +34,7 @@ use vmem::{Addr, AddrSpace};
 use crate::backend::{ArenaBackend, HeapBackend};
 use crate::config::MsConfig;
 use crate::layer::{FreeOutcome, MineSweeper, SweepReport};
-use crate::sweep::{parallel_mark_pool, PoolMarkOpts, StepResult};
+use crate::sweep::{parallel_mark_pool, PoolMarkOpts};
 
 /// Identifies one arena (tenant shard). Id 0 is the root arena — the
 /// single-arena layer constructors use it, so existing single-tenant
@@ -277,8 +277,6 @@ pub struct RoundReport {
     /// `(arena, report)` per scheduled arena, in scheduling (pressure)
     /// order. Empty when no arena was due.
     pub swept: Vec<(ArenaId, SweepReport)>,
-    /// Each arena's pooled mark tally, index-aligned with `swept`.
-    pub mark_stats: Vec<StepResult>,
     /// Wall nanoseconds of the pooled mark phase.
     pub mark_wall_ns: u64,
     /// Helpers actually used: the requested count, clamped to the
@@ -403,19 +401,15 @@ impl<B: HeapBackend> ArenaPool<B> {
             let wall_ns = t0.elapsed().as_nanos() as u64;
             (result.per_job, wall_ns, result.effective_helpers)
         };
-        let mut report = RoundReport {
-            swept: Vec::with_capacity(batch.len()),
-            mark_stats: per_job.clone(),
-            mark_wall_ns: wall_ns,
-            effective_helpers: helpers,
-        };
-        for (&i, stats) in batch.iter().zip(&per_job) {
-            let a = &mut self.arenas[i];
-            let (ms, space) = a.split_mut();
-            let r = ms.finish_sweep_premarked(space, stats, wall_ns);
-            report.swept.push((ms.arena_id(), r));
-        }
-        report
+        let swept = batch
+            .iter()
+            .zip(&per_job)
+            .map(|(&i, mark)| {
+                let (ms, space) = self.arenas[i].split_mut();
+                (ms.arena_id(), ms.finish_sweep_premarked(space, mark, wall_ns))
+            })
+            .collect();
+        RoundReport { swept, mark_wall_ns: wall_ns, effective_helpers: helpers }
     }
 }
 

@@ -52,11 +52,11 @@ pub struct SweepReport {
     pub released_bytes: u64,
     /// Allocations that failed to free (possible dangling pointer found).
     pub failed: u64,
-    /// Words examined by the marking phase.
-    pub marked_words: u64,
-    /// Bytes the marking phase advanced through without reading
-    /// (cache-replayed clean pages plus protected/unmapped skips).
-    pub skipped_bytes: u64,
+    /// The marking phase's whole tally: every `sweep_step` of the sweep,
+    /// or its pooled job's share. Words re-read by the stop-the-world
+    /// pass are not in it (the `StwPass` event carries them). Zero for a
+    /// sweep whose marks came from a caller-provided shadow map.
+    pub mark: StepResult,
     /// Pages re-examined by the stop-the-world pass (mostly-concurrent
     /// mode only).
     pub stw_pages: u64,
@@ -114,6 +114,17 @@ pub struct MineSweeper<B: HeapBackend = JAlloc> {
     /// Residency histogram: sweeps a previously failed entry survived
     /// before release (recorded at release time, forensics only).
     residency: Histogram,
+}
+
+/// The sweep triggers at one instant ([`MineSweeper::trigger_state`]).
+struct Triggers {
+    /// Quarantined bytes not held by failed frees.
+    eligible: u64,
+    /// `sweep_threshold` times the resident heap bytes not held by failed
+    /// frees: the proportional trigger fires when `eligible` reaches it.
+    threshold_bytes: f64,
+    proportional: bool,
+    unmapped: bool,
 }
 
 #[derive(Debug)]
@@ -430,12 +441,13 @@ impl<B: HeapBackend> MineSweeper<B> {
         if self.active.is_some() || !self.cfg.quarantine {
             return false;
         }
-        let (proportional, unmapped) = self.trigger_state(space);
-        proportional || unmapped
+        let t = self.trigger_state(space);
+        t.proportional || t.unmapped
     }
 
-    /// Evaluates the two sweep triggers: `(proportional, unmapped)`.
-    fn trigger_state(&self, space: &AddrSpace) -> (bool, bool) {
+    /// Evaluates the two sweep triggers and the proportional trigger's
+    /// operands.
+    fn trigger_state(&self, space: &AddrSpace) -> Triggers {
         let q = self.quarantine.tracked_bytes();
         let f = self.quarantine.failed_bytes();
         // Unmapped quarantined bytes "do not count towards standard memory
@@ -447,12 +459,16 @@ impl<B: HeapBackend> MineSweeper<B> {
             .allocated_bytes()
             .saturating_sub(self.quarantine.unmapped_bytes());
         let eligible = q.saturating_sub(f);
-        let proportional = eligible >= MIN_SWEEP_BYTES
-            && eligible as f64 >= self.cfg.sweep_threshold * heap_bytes.saturating_sub(f) as f64;
+        let threshold_bytes = self.cfg.sweep_threshold * heap_bytes.saturating_sub(f) as f64;
         let unmapped = self.quarantine.unmapped_bytes() > 0
             && self.quarantine.unmapped_bytes() as f64
                 >= self.cfg.unmapped_trigger * space.rss_bytes() as f64;
-        (proportional, unmapped)
+        Triggers {
+            eligible,
+            threshold_bytes,
+            proportional: eligible >= MIN_SWEEP_BYTES && eligible as f64 >= threshold_bytes,
+            unmapped,
+        }
     }
 
     /// Quarantine pressure as a permille of the proportional sweep
@@ -466,21 +482,12 @@ impl<B: HeapBackend> MineSweeper<B> {
         if self.active.is_some() || !self.cfg.quarantine {
             return 0;
         }
-        let q = self.quarantine.tracked_bytes();
-        let f = self.quarantine.failed_bytes();
-        let heap_bytes = self
-            .heap
-            .allocated_bytes()
-            .saturating_sub(self.quarantine.unmapped_bytes());
-        let eligible = q.saturating_sub(f);
-        let denom =
-            (self.cfg.sweep_threshold * heap_bytes.saturating_sub(f) as f64).max(1.0);
-        let mut permille = (eligible as f64 * 1000.0 / denom) as u64;
-        if eligible < MIN_SWEEP_BYTES {
+        let t = self.trigger_state(space);
+        let mut permille = (t.eligible as f64 * 1000.0 / t.threshold_bytes.max(1.0)) as u64;
+        if t.eligible < MIN_SWEEP_BYTES {
             permille = permille.min(999);
         }
-        let (proportional, unmapped) = self.trigger_state(space);
-        if proportional || unmapped {
+        if t.proportional || t.unmapped {
             permille = permille.max(1000);
         }
         permille
@@ -488,7 +495,8 @@ impl<B: HeapBackend> MineSweeper<B> {
 
     /// Classifies what is firing the sweep that is about to start.
     fn trigger_kind(&self, space: &AddrSpace) -> Trigger {
-        match self.trigger_state(space) {
+        let t = self.trigger_state(space);
+        match (t.proportional, t.unmapped) {
             (true, _) => Trigger::Proportional,
             (false, true) => Trigger::Unmapped,
             (false, false) => Trigger::Manual,
@@ -660,10 +668,8 @@ impl<B: HeapBackend> MineSweeper<B> {
     pub fn finish_sweep(&mut self, space: &mut AddrSpace) -> SweepReport {
         // Drain any marking the caller did not step through: an unbounded
         // budget runs the marker to the end of its plan.
-        let drained = self.sweep_step(space, u64::MAX);
-        let active = self.active.take().expect("no sweep in flight");
-        let report = SweepReport { marked_words: drained.words, ..SweepReport::default() };
-        self.complete_sweep(space, active, report)
+        self.sweep_step(space, u64::MAX);
+        self.complete_sweep(space)
     }
 
     /// One arena's share of a pooled cross-arena mark: the in-flight
@@ -707,9 +713,7 @@ impl<B: HeapBackend> MineSweeper<B> {
         mark_wall_ns: u64,
     ) -> SweepReport {
         self.fold_mark(mark, mark_wall_ns);
-        let active = self.active.take().expect("no sweep in flight");
-        let report = SweepReport { marked_words: mark.words, ..SweepReport::default() };
-        self.complete_sweep(space, active, report)
+        self.complete_sweep(space)
     }
 
     /// The marked sweep's finish: `MarkPhase` event, optional
@@ -718,15 +722,12 @@ impl<B: HeapBackend> MineSweeper<B> {
     /// [`MineSweeper::finish_sweep`] and
     /// [`MineSweeper::finish_sweep_premarked`] come through here, so a
     /// pooled arena's release semantics cannot drift from the
-    /// single-arena path.
-    fn complete_sweep(
-        &mut self,
-        space: &mut AddrSpace,
-        active: ActiveSweep,
-        mut report: SweepReport,
-    ) -> SweepReport {
+    /// single-arena path, and the report carries the sweep's whole mark
+    /// tally however it was stepped.
+    fn complete_sweep(&mut self, space: &mut AddrSpace) -> SweepReport {
+        let active = self.active.take().expect("no sweep in flight");
         let id = active.id;
-        report.skipped_bytes = active.mark.skipped_bytes;
+        let mut report = SweepReport { mark: active.mark, ..SweepReport::default() };
         let marked_granules = self.shadow.marked_count();
         // Profiler attribution for this sweep: deltas of the cumulative
         // sweep.* cells against the sweep-start baselines. `None` (the
@@ -765,7 +766,6 @@ impl<B: HeapBackend> MineSweeper<B> {
                 stw_words += mark_page(space, &mut self.shadow, page);
                 report.stw_pages += 1;
             }
-            report.marked_words += stw_words;
             self.counters.stw_pages.add(report.stw_pages);
             self.counters.stw_passes.inc();
             let pages = report.stw_pages;
@@ -1249,7 +1249,7 @@ mod tests {
         ms.free(&mut space, a);
         let report = ms.sweep_now(&mut space);
         assert_eq!(report.released, 1, "no marking: everything recycles");
-        assert_eq!(report.marked_words, 0);
+        assert_eq!((report.mark.words, report.mark.bytes), (0, 0));
     }
 
     #[test]
@@ -1262,7 +1262,7 @@ mod tests {
         let report = ms.sweep_now(&mut space);
         assert_eq!(report.released, 1);
         assert_eq!(report.failed, 0);
-        assert!(report.marked_words > 0, "marking did run");
+        assert!(report.mark.words > 0, "marking did run");
     }
 
     #[test]

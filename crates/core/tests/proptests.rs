@@ -416,6 +416,84 @@ proptest! {
     }
 
     #[test]
+    fn stepped_sweep_reports_the_same_tally_as_sweep_now(
+        ops in proptest::collection::vec(op_strategy(), 1..60),
+        budgets in proptest::collection::vec(1u64..1200, 0..12),
+    ) {
+        // A sweep advanced by `sweep_step` in arbitrary budgets (often
+        // splitting a page) and then `finish_sweep` must report exactly
+        // what `sweep_now` reports on the same heap: the whole mark tally,
+        // STW pages, release decisions and marked granules. Each sweep
+        // mode and page-cache/candidate-filter setting drives one
+        // stepped/one-shot pair in lockstep; sweeps after the first
+        // replay the page cache.
+        let modes = [MsConfig::fully_concurrent(), MsConfig::mostly_concurrent()];
+        for base in modes {
+            for (page_cache, candidate_filter) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let cfg = MsConfig { page_cache, candidate_filter, ..base };
+                let mut pair = [
+                    (AddrSpace::new(), MineSweeper::new(cfg)),
+                    (AddrSpace::new(), MineSweeper::new(cfg)),
+                ];
+                let stack = pair[0].0.layout().segment_base(Segment::Stack);
+                let mut objects: Vec<Addr> = Vec::new();
+                let mut live: BTreeSet<usize> = BTreeSet::new();
+                let sweep = |pair: &mut [(AddrSpace, MineSweeper); 2]| {
+                    let [(s_space, stepped), (o_space, oneshot)] = pair;
+                    stepped.start_sweep(s_space);
+                    for &b in &budgets {
+                        if stepped.sweep_step(s_space, b).finished {
+                            break;
+                        }
+                    }
+                    (stepped.finish_sweep(s_space), oneshot.sweep_now(o_space))
+                };
+                for op in &ops {
+                    match *op {
+                        Op::Malloc { size } => {
+                            let a = pair[0].1.malloc(&mut pair[0].0, size);
+                            prop_assert_eq!(pair[1].1.malloc(&mut pair[1].0, size), a);
+                            objects.push(a);
+                            live.insert(objects.len() - 1);
+                        }
+                        Op::Point { slot, to } if !objects.is_empty() => {
+                            let target = objects[to % objects.len()].raw();
+                            for (space, _) in &mut pair {
+                                space.write_word(stack + slot as u64 * 8, target).unwrap();
+                            }
+                        }
+                        Op::Unpoint { slot } => {
+                            for (space, _) in &mut pair {
+                                space.write_word(stack + slot as u64 * 8, 0).unwrap();
+                            }
+                        }
+                        Op::Free { n } if !live.is_empty() => {
+                            let &id = live.iter().nth(n % live.len()).unwrap();
+                            live.remove(&id);
+                            for (space, ms) in &mut pair {
+                                ms.free(space, objects[id]);
+                            }
+                        }
+                        Op::Sweep => {
+                            let (stepped, oneshot) = sweep(&mut pair);
+                            prop_assert_eq!(stepped, oneshot, "{:?}", cfg);
+                        }
+                        _ => {}
+                    }
+                }
+                // Two closing sweeps over the final heap: the second
+                // replays what the first recorded into the page cache.
+                for _ in 0..2 {
+                    let (stepped, oneshot) = sweep(&mut pair);
+                    prop_assert_eq!(stepped, oneshot, "{:?}", cfg);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn forensics_preserves_decisions_and_conserves_ledger_bytes(
         ops in proptest::collection::vec(op_strategy(), 1..60),
         sampled in any::<bool>(),

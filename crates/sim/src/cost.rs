@@ -7,6 +7,8 @@
 //! against an identically-seeded baseline run, only the relative magnitudes
 //! matter.
 
+use minesweeper::StepResult;
+
 /// Cycle costs charged by the engine.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct CostModel {
@@ -191,32 +193,17 @@ impl CostModel {
         self.cold_base + bytes.min(self.cold_cap_bytes) / 64 * self.cold_line
     }
 
-    /// Cycles one sweeper thread spends marking a region where
-    /// `scanned_bytes` were classified by the SIMD kernel, `heap_words`
-    /// of them survived the range test (each paying the extraction +
-    /// shadow-mark tail), and `skipped_bytes` were advanced over without
-    /// reading (incremental sweep: cache-replayed clean pages and
-    /// protected/unmapped skips pay only the flat per-page
-    /// [`sweep_skip_page`](Self::sweep_skip_page) cost).
-    pub fn mark_cost(&self, scanned_bytes: u64, skipped_bytes: u64, heap_words: u64) -> u64 {
-        let (scan, skip) = self.mark_cost_parts(scanned_bytes, skipped_bytes, heap_words);
-        scan + skip
-    }
-
-    /// [`mark_cost`](Self::mark_cost) split into its attribution kinds:
-    /// `(mark_scan, skip_replay)`. The parts sum to `mark_cost` exactly,
-    /// so the cost ledger can tag them separately without perturbing the
-    /// engine's totals.
-    pub fn mark_cost_parts(
-        &self,
-        scanned_bytes: u64,
-        skipped_bytes: u64,
-        heap_words: u64,
-    ) -> (u64, u64) {
-        let scan = scanned_bytes / (vmem::WORD_SIZE as u64 * self.sweep_chunk_words)
-            * self.sweep_chunk_cycles
-            + heap_words * self.sweep_survivor_cycles;
-        let skip = skipped_bytes / vmem::PAGE_SIZE as u64 * self.sweep_skip_page;
+    /// Cycles one sweeper thread spends on the marking work `r` tallies,
+    /// split into its attribution kinds `(mark_scan, skip_replay)`. Every
+    /// scanned word pays its share of the SIMD kernel's chunk cost, each
+    /// of `r.heap_words` (the words that survived the range test) pays the
+    /// extraction + shadow-mark tail, and skipped bytes (cache-replayed
+    /// clean pages, protected/unmapped skips) pay only the flat per-page
+    /// [`sweep_skip_page`](Self::sweep_skip_page) cost.
+    pub fn mark_cost(&self, r: &StepResult) -> (u64, u64) {
+        let scan = r.words / self.sweep_chunk_words * self.sweep_chunk_cycles
+            + r.heap_words * self.sweep_survivor_cycles;
+        let skip = r.skipped_bytes / vmem::PAGE_SIZE as u64 * self.sweep_skip_page;
         (scan, skip)
     }
 
@@ -267,20 +254,37 @@ mod tests {
         );
     }
 
+    /// The tally of a mark that scanned `scanned` bytes word by word,
+    /// skipped `skipped` bytes and found `heap_words` survivors.
+    fn tally(scanned: u64, skipped: u64, heap_words: u64) -> StepResult {
+        StepResult {
+            words: scanned / 8,
+            bytes: scanned + skipped,
+            skipped_bytes: skipped,
+            heap_words,
+            ..StepResult::default()
+        }
+    }
+
+    fn total(c: &CostModel, r: &StepResult) -> u64 {
+        let (scan, skip) = c.mark_cost(r);
+        scan + skip
+    }
+
     #[test]
     fn skipping_a_page_beats_scanning_it() {
         let c = CostModel::desktop();
         let page = vmem::PAGE_SIZE as u64;
-        let scan = c.mark_cost(page, 0, 0);
-        let skip = c.mark_cost(0, page, 0);
+        let scan = total(&c, &tally(page, 0, 0));
+        let skip = total(&c, &tally(0, page, 0));
         assert_eq!(scan, page / 8 / c.sweep_chunk_words * c.sweep_chunk_cycles);
         assert_eq!(skip, c.sweep_skip_page);
         // The SIMD kernel narrowed the gap (a clean-page scan is 4x
         // cheaper than scalar), but skipping still wins.
         assert!(skip * 3 < scan, "skip must be far cheaper than a re-read");
         assert_eq!(
-            c.mark_cost(8192, 4096, 0),
-            8192 / 8 / c.sweep_chunk_words * c.sweep_chunk_cycles + c.sweep_skip_page,
+            c.mark_cost(&tally(8192, 4096, 0)),
+            (8192 / 8 / c.sweep_chunk_words * c.sweep_chunk_cycles, c.sweep_skip_page),
             "mixed step splits cleanly"
         );
     }
@@ -289,8 +293,8 @@ mod tests {
     fn survivors_dominate_pointer_dense_pages() {
         let c = CostModel::desktop();
         let page = vmem::PAGE_SIZE as u64;
-        let clean = c.mark_cost(page, 0, 0);
-        let dense = c.mark_cost(page, 0, 512);
+        let clean = total(&c, &tally(page, 0, 0));
+        let dense = total(&c, &tally(page, 0, 512));
         assert_eq!(dense - clean, 512 * c.sweep_survivor_cycles);
         assert!(
             dense > page / c.sweep_bytes_per_cycle,

@@ -191,31 +191,11 @@ impl Engine {
             System::PSweeper => Sys::Ps(Box::new(PSweeper::new())),
             System::DangSan => Sys::Ds(Box::new(DangSan::new())),
         };
-        let telem = match &sys {
-            Sys::Ms(ms) => Some(EngineTelem::register(ms.registry())),
-            Sys::MsScudo(ms) => Some(EngineTelem::register(ms.registry())),
-            _ => None,
-        };
-        let cost_rec = match &sys {
-            Sys::Ms(ms) => Some(CostRecorder::new(ms.registry())),
-            Sys::MsScudo(ms) => Some(CostRecorder::new(ms.registry())),
-            _ => None,
-        };
-        // Mirror `sweeper_threads()`: requested = config helpers + main
-        // sweeper; effective = clamped by cores spared by the mutator.
-        if let Some(requested) = match &sys {
-            Sys::Ms(ms) => Some(ms.config().helper_threads as u64 + 1),
-            Sys::MsScudo(ms) => Some(ms.config().helper_threads as u64 + 1),
-            _ => None,
-        } {
-            let spare =
-                (cost.cores as u64).saturating_sub(profile.threads as u64).max(1);
-            let effective = requested.min(spare).max(1);
-            let registry = match &sys {
-                Sys::Ms(ms) => ms.registry(),
-                Sys::MsScudo(ms) => ms.registry(),
-                _ => unreachable!(),
-            };
+        let registry = layer_registry(&sys);
+        let telem = registry.map(EngineTelem::register);
+        let cost_rec = registry.map(CostRecorder::new);
+        if let Some(registry) = registry {
+            let (requested, effective) = sweeper_clamp(&sys, &cost, profile);
             EngineTelem::stamp_environment(registry, requested, effective);
         }
         let sample_interval = (run_cycles / 256).max(10_000);
@@ -262,11 +242,7 @@ impl Engine {
         if !on {
             self.cost_rec = None;
         } else if self.cost_rec.is_none() {
-            self.cost_rec = match &self.sys {
-                Sys::Ms(ms) => Some(CostRecorder::new(ms.registry())),
-                Sys::MsScudo(ms) => Some(CostRecorder::new(ms.registry())),
-                _ => None,
-            };
+            self.cost_rec = layer_registry(&self.sys).map(CostRecorder::new);
         }
     }
 
@@ -364,15 +340,7 @@ impl Engine {
 
     /// Effective concurrent sweeper threads: capped by spare cores.
     fn sweeper_threads(&self) -> u64 {
-        let helpers = match &self.sys {
-            Sys::Ms(ms) => ms.config().helper_threads as u64 + 1,
-            Sys::MsScudo(ms) => ms.config().helper_threads as u64 + 1,
-            Sys::Mu(_) => 2,
-            _ => 0,
-        };
-        let spare =
-            (self.cost.cores as u64).saturating_sub(self.profile.threads as u64).max(1);
-        helpers.min(spare).max(1)
+        sweeper_clamp(&self.sys, &self.cost, &self.profile).1
     }
 
     /// Contention factor on mutator work while sweepers are running.
@@ -862,11 +830,6 @@ impl Engine {
                 );
             }
         }
-        if cr_writes > 0 && !matches!(self.sys, Sys::Cr(_)) {
-            // cr_writes stays zero for every other system; keep the
-            // compiler honest about the accumulator.
-            debug_assert_eq!(cr_writes, 0);
-        }
     }
 
     // ---- sweep orchestration ----------------------------------------------
@@ -935,19 +898,18 @@ impl Engine {
     /// Advances an in-flight sweep by `wall` cycles of real time.
     fn progress_sweep(&mut self, wall: u64) {
         let cost = self.cost;
-        let cores = self.cost.cores as u64;
-        let mut_threads = self.profile.threads as u64;
+        let threads = self.sweeper_threads();
         let space = &mut self.space;
         let metrics = &mut self.metrics;
         let background = &mut self.background;
         let rec = self.cost_rec.as_mut();
         let finished = match &mut self.sys {
-            Sys::Ms(ms) => progress_one(
-                ms, space, metrics, background, rec, &cost, cores, mut_threads, wall,
-            ),
-            Sys::MsScudo(ms) => progress_one(
-                ms, space, metrics, background, rec, &cost, cores, mut_threads, wall,
-            ),
+            Sys::Ms(ms) => {
+                progress_one(ms, space, metrics, background, rec, &cost, threads, wall)
+            }
+            Sys::MsScudo(ms) => {
+                progress_one(ms, space, metrics, background, rec, &cost, threads, wall)
+            }
             _ => return,
         };
         if finished {
@@ -959,18 +921,13 @@ impl Engine {
     /// the mutator waits for it (allocation pause / sequential mode).
     fn fast_forward_sweep(&mut self, blocking: bool) {
         let cost = self.cost;
-        let cores = self.cost.cores as u64;
-        let mut_threads = self.profile.threads as u64;
+        let threads = self.sweeper_threads();
         if !self.sweep_active {
             return;
         }
         let (wall, dcs) = match &mut self.sys {
-            Sys::Ms(ms) => {
-                fast_forward_one(ms, &mut self.space, &cost, cores, mut_threads)
-            }
-            Sys::MsScudo(ms) => {
-                fast_forward_one(ms, &mut self.space, &cost, cores, mut_threads)
-            }
+            Sys::Ms(ms) => fast_forward_one(ms, &mut self.space, &cost, threads),
+            Sys::MsScudo(ms) => fast_forward_one(ms, &mut self.space, &cost, threads),
             _ => return,
         };
         self.metrics.sweep_demand_commits += dcs;
@@ -979,7 +936,7 @@ impl Engine {
         // detail into one wall figure — the blocking stall on Stw, and
         // demand commits on Commit. The amounts recorded are exactly the
         // amounts charged below.
-        let mark_bill = wall * self.sweeper_threads();
+        let mark_bill = wall * threads;
         let commit = dcs * self.cost.demand_commit;
         self.record_cost(CostKind::MarkScan, mark_bill, None);
         self.record_cost(CostKind::Commit, commit, None);
@@ -1088,8 +1045,32 @@ impl Engine {
     }
 }
 
-/// Advances one layered system's in-flight sweep by `wall` cycles.
-/// Returns whether marking finished.
+/// The registry a layered system owns (`None` for the baselines).
+fn layer_registry(sys: &Sys) -> Option<&Registry> {
+    match sys {
+        Sys::Ms(ms) => Some(ms.registry()),
+        Sys::MsScudo(ms) => Some(ms.registry()),
+        _ => None,
+    }
+}
+
+/// The engine's one sweeper-thread clamp: `(requested, effective)`.
+/// Requested is the layer's helpers plus the main sweeper (MarkUs runs
+/// two); effective caps that by the cores the mutator's threads leave
+/// spare, and is at least one.
+fn sweeper_clamp(sys: &Sys, cost: &CostModel, profile: &Profile) -> (u64, u64) {
+    let requested = match sys {
+        Sys::Ms(ms) => ms.config().helper_threads as u64 + 1,
+        Sys::MsScudo(ms) => ms.config().helper_threads as u64 + 1,
+        Sys::Mu(_) => 2,
+        _ => 0,
+    };
+    let spare = (cost.cores as u64).saturating_sub(profile.threads as u64).max(1);
+    (requested, requested.min(spare).max(1))
+}
+
+/// Advances one layered system's in-flight sweep by `wall` cycles on
+/// `threads` sweeper threads. Returns whether marking finished.
 #[allow(clippy::too_many_arguments)]
 fn progress_one<B: HeapBackend>(
     ms: &mut MineSweeper<B>,
@@ -1098,13 +1079,9 @@ fn progress_one<B: HeapBackend>(
     background: &mut u64,
     cost_rec: Option<&mut CostRecorder>,
     cost: &CostModel,
-    cores: u64,
-    mutator_threads: u64,
+    threads: u64,
     wall: u64,
 ) -> bool {
-    let helpers = ms.config().helper_threads as u64 + 1;
-    let spare = cores.saturating_sub(mutator_threads).max(1);
-    let threads = helpers.min(spare).max(1);
     let budget_words = wall * cost.sweep_words_per_cycle() * threads;
     if budget_words == 0 {
         return false;
@@ -1115,8 +1092,7 @@ fn progress_one<B: HeapBackend>(
     metrics.sweep_demand_commits += dcs;
     // Skipped pages (incremental sweep) advance the cursor without the
     // word-by-word re-read; they cost a flat per-page lookup instead.
-    let (scan, skip) =
-        cost.mark_cost_parts(r.bytes - r.skipped_bytes, r.skipped_bytes, r.heap_words);
+    let (scan, skip) = cost.mark_cost(&r);
     let forensics = r.pin_edges * cost.forensics_edge;
     let commit = dcs * cost.demand_commit;
     if let Some(rec) = cost_rec {
@@ -1129,31 +1105,25 @@ fn progress_one<B: HeapBackend>(
     r.finished
 }
 
-/// Drains one layered system's in-flight marking completely. Returns the
-/// wall time the drain would have taken and the demand commits incurred.
+/// Drains one layered system's in-flight marking completely, on
+/// `threads` sweeper threads when the layer sweeps concurrently and on
+/// the mutator's one otherwise. Returns the wall time the drain would
+/// have taken and the demand commits incurred.
 fn fast_forward_one<B: HeapBackend>(
     ms: &mut MineSweeper<B>,
     space: &mut AddrSpace,
     cost: &CostModel,
-    cores: u64,
-    mutator_threads: u64,
+    threads: u64,
 ) -> (u64, u64) {
-    let threads = if ms.config().concurrent {
-        let helpers = ms.config().helper_threads as u64 + 1;
-        let spare = cores.saturating_sub(mutator_threads).max(1);
-        helpers.min(spare).max(1)
-    } else {
-        1
-    };
+    let threads = if ms.config().concurrent { threads } else { 1 };
     let dc0 = space.stats().demand_commits;
     let r = ms.sweep_step(space, u64::MAX);
     debug_assert!(r.finished);
     // Derive the wall time from what the drain actually did: skipped
     // pages (incremental sweep) cost a flat per-page lookup, not the
     // streaming re-read.
-    let wall = (cost.mark_cost(r.bytes - r.skipped_bytes, r.skipped_bytes, r.heap_words)
-        + r.pin_edges * cost.forensics_edge)
-        / threads.max(1);
+    let (scan, skip) = cost.mark_cost(&r);
+    let wall = (scan + skip + r.pin_edges * cost.forensics_edge) / threads;
     (wall, space.stats().demand_commits - dc0)
 }
 

@@ -276,15 +276,11 @@ fn sweep_if_due(
     }
     *background += cost.sweep_round_setup * round.swept.len() as u64;
     let threads = (round.effective_helpers as u64 + 1).max(1);
-    for ((id, report), stats) in round.swept.iter().zip(&round.mark_stats) {
+    for (id, report) in &round.swept {
         let k = id.raw() as usize;
         let arena = Some(labels[k].as_str());
         cost_rec.charge(CostKind::SchedSetup, cost.sweep_round_setup, None, arena);
-        let (scan, skip) = cost.mark_cost_parts(
-            stats.words * vmem::WORD_SIZE as u64,
-            report.skipped_bytes,
-            stats.heap_words,
-        );
+        let (scan, skip) = cost.mark_cost(&report.mark);
         cost_rec.charge(CostKind::MarkScan, scan, None, arena);
         cost_rec.charge(CostKind::SkipReplay, skip, None, arena);
         let mark = scan + skip;

@@ -284,9 +284,13 @@ stage_security() {
         cp "$smoke_dir/SECURITY_matrix.json" SECURITY_baseline.json
         echo "security baseline regenerated — review and commit the diff"
     fi
-    cmp -s SECURITY_matrix.json "$smoke_dir/SECURITY_matrix.json" \
-        || { echo "SECURITY_matrix.json drifted from the committed copy" \
-             "(regenerate with UPDATE_SECURITY_BASELINE=1)"; exit 1; }
+    if ! cmp -s SECURITY_matrix.json "$smoke_dir/SECURITY_matrix.json"; then
+        # Show which cells moved before failing.
+        diff SECURITY_matrix.json "$smoke_dir/SECURITY_matrix.json" | head -n 40 || true
+        echo "SECURITY_matrix.json drifted from the committed copy" \
+             "(regenerate with UPDATE_SECURITY_BASELINE=1)"
+        exit 1
+    fi
     cargo run -q --release -p ms-cli --bin ms-report -- \
         --security "$smoke_dir/SECURITY_matrix.json" \
         --baseline SECURITY_baseline.json --check \
